@@ -17,6 +17,7 @@ Tensors round-trip bit-exactly; readers reject unknown magic/version.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -39,24 +40,28 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
             f.write(arr.tobytes(order="C"))
 
 
+def _read(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, {len(data)} left")
+    return data
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
+        magic = _read(f, len(MAGIC), "magic")
         if magic != MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", _read(f, 8, "header"))
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
-            payload = f.read(8 * n)
-            if len(payload) != 8 * n:
-                raise ValueError(f"truncated payload for tensor {name!r}")
+        for i in range(count):
+            (name_len,) = struct.unpack("<I", _read(f, 4, f"tensor {i} name length"))
+            name = _read(f, name_len, f"tensor {i} name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read(f, 4, f"ndim of tensor {name!r}"))
+            shape = struct.unpack(f"<{ndim}Q", _read(f, 8 * ndim, f"shape of tensor {name!r}"))
+            payload = _read(f, 8 * math.prod(shape), f"payload of tensor {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return out
 

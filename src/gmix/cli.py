@@ -22,6 +22,7 @@ from .checkpoint import load_model
 from .config import ConfigError, config_hash, parse_config, parse_config_text
 from .datasets import generate
 from .gradcheck import format_table, run_suite
+from .heads import conditional
 from .moments import MomentSpec, class_size, mom_loss, target_moment
 from .outlier import scores as outlier_scores
 from .pipeline import RunConfig, evaluate, init_state, run
@@ -41,6 +42,7 @@ def _load_state_for(config: RunConfig, data_spec, checkpoint_path):
     dataset = generate(data_spec)
     state = init_state(config, dataset)
     load_model(checkpoint_path, state.backbone, state.head)
+    state.ema = None  # the checkpoint holds the weights to use; a fresh shadow would mask them
     return dataset, state
 
 
@@ -134,9 +136,7 @@ def _cmd_export_embeddings(args) -> int:
     if head.generative:
         score = outlier_scores(head, z, config.gate.mode)
     else:
-        logits = head.class_log_scores(Tensor(z)).data
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        score = (shifted / shifted.sum(axis=1, keepdims=True)).max(axis=1)
+        score = conditional(head, z).data.max(axis=1)
     dim = z.shape[1]
     with open(args.out, "w") as f:
         f.write("\t".join([f"z{i}" for i in range(dim)] + ["label", "predicted", "score"]) + "\n")

@@ -10,14 +10,15 @@ run manifest, whose flat form is hashed to name output directories.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable
 
 from .datasets import DATASET_KINDS, SyntheticSpec
 from .heads import HEAD_KINDS
-from .moments import MODES, MomentSpec
+from .moments import MODES
 from .outlier import GATE_MODES
-from .pipeline import GateConfig, RunConfig
+from .pipeline import RunConfig
 
 
 class ConfigError(ValueError):
@@ -57,45 +58,62 @@ def _fmt_value(value) -> str:
 
 @dataclass(frozen=True)
 class _Key:
+    """A key's field, as a dotted path from a root ("run" or "data"), and its parser."""
+
+    path: str
     parse: Callable[[str], object]
-    default: object
 
 
+# The one list of config keys. Defaults are read off RunConfig() and
+# SyntheticSpec(), never written here; the order is the manifest's.
 SCHEMA: dict[str, _Key] = {
-    "run.seed": _Key(int, 0),
-    "run.steps": _Key(int, 4000),
-    "run.eval_every": _Key(int, 200),
-    "opt.lr": _Key(float, 0.03),
-    "opt.momentum": _Key(float, 0.9),
-    "opt.weight_decay": _Key(float, 5e-4),
-    "opt.clip_norm": _Key(float, 1.0),
-    "ssl.labeled_batch": _Key(int, 16),
-    "ssl.unlabeled_ratio": _Key(int, 7),
-    "ssl.conf_threshold": _Key(float, 0.95),
-    "ssl.lambda_u": _Key(float, 1.0),
-    "ssl.curriculum": _Key(_parse_bool, True),
-    "ssl.ema_decay": _Key(float, 0.0),
-    "head.kind": _Key(_enum(HEAD_KINDS), "aagmm"),
-    "head.latent_dim": _Key(int, 8),
-    "mom.orders": _Key(int, 1),
-    "mom.weights": _Key(_parse_float_list, (1.0, 0.5, 0.25, 0.125)),
-    "mom.mode": _Key(_enum(MODES), "per-cluster-soft"),
-    "mom.view": _Key(_enum(("weak", "strong")), "weak"),
-    "gate.enabled": _Key(_parse_bool, False),
-    "gate.percentile": _Key(float, 90.0),
-    "gate.mode": _Key(_enum(GATE_MODES), "max"),
-    "gate.refresh": _Key(int, 50),
-    "gate.exclude_mom": _Key(_parse_bool, True),
-    "data.kind": _Key(_enum(DATASET_KINDS), "warped-mixture"),
-    "data.classes": _Key(int, 8),
-    "data.ambient": _Key(int, 16),
-    "data.unlabeled": _Key(int, 8000),
-    "data.test": _Key(int, 2000),
-    "data.labels_per_class": _Key(int, 4),
-    "data.noise": _Key(float, 0.13),
-    "data.outlier_frac": _Key(float, 0.0),
-    "data.seed": _Key(int, 0),
+    "run.seed": _Key("run.seed", int),
+    "run.steps": _Key("run.steps", int),
+    "run.eval_every": _Key("run.eval_every", int),
+    "opt.lr": _Key("run.lr", float),
+    "opt.momentum": _Key("run.momentum", float),
+    "opt.weight_decay": _Key("run.weight_decay", float),
+    "opt.clip_norm": _Key("run.clip_norm", float),
+    "ssl.labeled_batch": _Key("run.labeled_batch", int),
+    "ssl.unlabeled_ratio": _Key("run.unlabeled_ratio", int),
+    "ssl.conf_threshold": _Key("run.conf_threshold", float),
+    "ssl.lambda_u": _Key("run.lambda_u", float),
+    "ssl.curriculum": _Key("run.curriculum", _parse_bool),
+    "ssl.ema_decay": _Key("run.ema_decay", float),
+    "head.kind": _Key("run.head_kind", _enum(HEAD_KINDS)),
+    "head.latent_dim": _Key("run.latent_dim", int),
+    "mom.orders": _Key("run.moments.max_order", int),
+    "mom.weights": _Key("run.moments.order_weights", _parse_float_list),
+    "mom.mode": _Key("run.moments.mode", _enum(MODES)),
+    "mom.view": _Key("run.mom_view", _enum(("weak", "strong"))),
+    "gate.enabled": _Key("run.gate.enabled", _parse_bool),
+    "gate.percentile": _Key("run.gate.percentile", float),
+    "gate.mode": _Key("run.gate.mode", _enum(GATE_MODES)),
+    "gate.refresh": _Key("run.gate.refresh_every", int),
+    "gate.exclude_mom": _Key("run.gate.exclude_from_mom", _parse_bool),
+    "data.kind": _Key("data.kind", _enum(DATASET_KINDS)),
+    "data.classes": _Key("data.n_classes", int),
+    "data.ambient": _Key("data.ambient_dim", int),
+    "data.unlabeled": _Key("data.n_unlabeled", int),
+    "data.test": _Key("data.n_test", int),
+    "data.labels_per_class": _Key("data.labels_per_class", int),
+    "data.noise": _Key("data.cluster_noise", float),
+    "data.outlier_frac": _Key("data.outlier_frac", float),
+    "data.seed": _Key("data.seed", int),
 }
+
+
+def _lookup(roots: dict, path: str):
+    root, *attrs = path.split(".")
+    return reduce(getattr, attrs, roots[root])
+
+
+def _rebuild(default, fields: dict):
+    """``default`` with ``fields`` replaced; a nested dict rebuilds that field's dataclass."""
+    return replace(default, **{
+        name: _rebuild(getattr(default, name), v) if isinstance(v, dict) else v
+        for name, v in fields.items()
+    })
 
 
 def parse_config_text(text: str, source: str = "<config>"):
@@ -125,53 +143,20 @@ def parse_config_text(text: str, source: str = "<config>"):
                 f"{source}:{lineno}: bad value for {key}: {e}"
             ) from None
 
-    def get(key: str):
-        return values.get(key, SCHEMA[key].default)
-
+    # Group the set values by field path. Walking the table (not the text)
+    # fixes the order the dataclasses are validated in, and so which error
+    # a config with several faults reports.
+    fields: dict[str, dict] = {"run": {}, "data": {}}
+    for key, k in SCHEMA.items():
+        if key in values:
+            *parents, leaf = k.path.split(".")
+            node = fields
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[leaf] = values[key]
     try:
-        moments = MomentSpec(
-            max_order=get("mom.orders"),
-            order_weights=get("mom.weights"),
-            mode=get("mom.mode"),
-        )
-        gate = GateConfig(
-            enabled=get("gate.enabled"),
-            percentile=get("gate.percentile"),
-            mode=get("gate.mode"),
-            refresh_every=get("gate.refresh"),
-            exclude_from_mom=get("gate.exclude_mom"),
-        )
-        run_config = RunConfig(
-            seed=get("run.seed"),
-            steps=get("run.steps"),
-            eval_every=get("run.eval_every"),
-            labeled_batch=get("ssl.labeled_batch"),
-            unlabeled_ratio=get("ssl.unlabeled_ratio"),
-            lr=get("opt.lr"),
-            momentum=get("opt.momentum"),
-            weight_decay=get("opt.weight_decay"),
-            clip_norm=get("opt.clip_norm"),
-            conf_threshold=get("ssl.conf_threshold"),
-            lambda_u=get("ssl.lambda_u"),
-            curriculum=get("ssl.curriculum"),
-            ema_decay=get("ssl.ema_decay"),
-            head_kind=get("head.kind"),
-            latent_dim=get("head.latent_dim"),
-            moments=moments,
-            mom_view=get("mom.view"),
-            gate=gate,
-        )
-        data_spec = SyntheticSpec(
-            kind=get("data.kind"),
-            n_classes=get("data.classes"),
-            ambient_dim=get("data.ambient"),
-            n_unlabeled=get("data.unlabeled"),
-            n_test=get("data.test"),
-            labels_per_class=get("data.labels_per_class"),
-            cluster_noise=get("data.noise"),
-            outlier_frac=get("data.outlier_frac"),
-            seed=get("data.seed"),
-        )
+        run_config = _rebuild(RunConfig(), fields["run"])
+        data_spec = _rebuild(SyntheticSpec(), fields["data"])
     except ValueError as e:
         raise ConfigError(f"{source}: {e}") from None
     return run_config, data_spec, flatten_config(run_config, data_spec)
@@ -185,43 +170,8 @@ def parse_config(path):
 
 def flatten_config(config: RunConfig, data_spec: SyntheticSpec) -> dict[str, str]:
     """Every schema key with its effective value, serialized canonically."""
-    values = {
-        "run.seed": config.seed,
-        "run.steps": config.steps,
-        "run.eval_every": config.eval_every,
-        "opt.lr": config.lr,
-        "opt.momentum": config.momentum,
-        "opt.weight_decay": config.weight_decay,
-        "opt.clip_norm": config.clip_norm,
-        "ssl.labeled_batch": config.labeled_batch,
-        "ssl.unlabeled_ratio": config.unlabeled_ratio,
-        "ssl.conf_threshold": config.conf_threshold,
-        "ssl.lambda_u": config.lambda_u,
-        "ssl.curriculum": config.curriculum,
-        "ssl.ema_decay": config.ema_decay,
-        "head.kind": config.head_kind,
-        "head.latent_dim": config.latent_dim,
-        "mom.orders": config.moments.max_order,
-        "mom.weights": config.moments.order_weights,
-        "mom.mode": config.moments.mode,
-        "mom.view": config.mom_view,
-        "gate.enabled": config.gate.enabled,
-        "gate.percentile": config.gate.percentile,
-        "gate.mode": config.gate.mode,
-        "gate.refresh": config.gate.refresh_every,
-        "gate.exclude_mom": config.gate.exclude_from_mom,
-        "data.kind": data_spec.kind,
-        "data.classes": data_spec.n_classes,
-        "data.ambient": data_spec.ambient_dim,
-        "data.unlabeled": data_spec.n_unlabeled,
-        "data.test": data_spec.n_test,
-        "data.labels_per_class": data_spec.labels_per_class,
-        "data.noise": data_spec.cluster_noise,
-        "data.outlier_frac": data_spec.outlier_frac,
-        "data.seed": data_spec.seed,
-    }
-    assert set(values) == set(SCHEMA)
-    return {k: _fmt_value(values[k]) for k in SCHEMA}
+    roots = {"run": config, "data": data_spec}
+    return {key: _fmt_value(_lookup(roots, k.path)) for key, k in SCHEMA.items()}
 
 
 def config_hash(flat: dict[str, str]) -> str:

@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-from .moments import DEFAULT_ORDER_WEIGHTS, MomentSpec, mom_loss
-
 CSV_COLUMNS = (
     "step",
     "loss_sup",
@@ -78,19 +75,6 @@ def compactness(z: np.ndarray, assignments: np.ndarray, centers: np.ndarray) -> 
     if assignments.min() < 0 or assignments.max() >= centers.shape[0]:
         raise ValueError("assignments out of range")
     return float(np.linalg.norm(z - centers[assignments], axis=1).mean())
-
-
-def moment_report(
-    z: np.ndarray,
-    max_order: int,
-    order_weights=DEFAULT_ORDER_WEIGHTS,
-) -> dict[int, float]:
-    """Per-order weighted moment discrepancies in global mode, no gradients."""
-    if max_order < 1:
-        return {}
-    spec = MomentSpec(max_order=max_order, order_weights=tuple(order_weights), mode="global")
-    _, per_order = mom_loss(Tensor(z), spec)
-    return {p: t.item() for p, t in per_order.items()}
 
 
 def outlier_pr(flags_true, flags_pred) -> tuple[float, float]:

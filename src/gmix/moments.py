@@ -138,34 +138,6 @@ def weight_tensor(order: int, dim: int) -> np.ndarray:
     return arr
 
 
-def sample_moments(zc, order: int, sample_weights=None) -> Tensor:
-    """Sample moment tensor of already-centralized samples, shape (dim,)*order.
-
-    Computed as iterated outer products averaged over samples; with
-    ``sample_weights`` the average is weighted and normalized by the
-    total weight.
-    """
-    zc = zc if isinstance(zc, Tensor) else Tensor(zc)
-    if zc.ndim != 2:
-        raise ValueError("expected samples of shape (n, dim)")
-    n, dim = zc.shape
-    if n == 0:
-        raise ValueError("cannot take moments of an empty sample")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    prod = zc
-    for p in range(1, order):
-        left = reshape(prod, (n,) + (dim,) * p + (1,))
-        right = reshape(zc, (n,) + (1,) * p + (dim,))
-        prod = left * right
-    if sample_weights is None:
-        return tmean(prod, axis=0)
-    w = sample_weights if isinstance(sample_weights, Tensor) else Tensor(sample_weights)
-    w_col = reshape(w, (n,) + (1,) * order)
-    total = tsum(w)
-    return tsum(prod * w_col, axis=0) / total
-
-
 @dataclass
 class CentralizedBatch:
     """Sub-populations prepared for moment estimation.
@@ -231,13 +203,14 @@ def centralize(z, mode: str, head=None, sample_mask=None) -> CentralizedBatch:
     raise ValueError(f"unknown centralization mode {mode!r}")
 
 
-def _population_loss(pops: Tensor, weights: Tensor | None, order: int):
-    """Weighted moment discrepancy per population.
+def population_moments(pops: Tensor, weights: Tensor | None, order: int):
+    """Order-p sample moment tensor of each population, shape (G,) + (dim,)*order.
 
-    Returns ``(per_group, active)``: a (G,) tensor of discrepancies and
-    the boolean mask of populations with enough weight mass to estimate.
-    Starved populations get their denominators patched to 1 and their
-    contribution masked to zero; the caller averages over the survivors.
+    Built as iterated outer products of the (n, G, dim) samples, averaged
+    over n, weighted by ``weights`` (n, G) when given. Returns
+    ``(moments, active)``, where ``active`` marks the populations with
+    enough weight mass to estimate; starved populations get their
+    denominators patched to 1, so their moments are finite but meaningless.
     """
     n, groups, dim = pops.shape
     prod = pops
@@ -246,17 +219,26 @@ def _population_loss(pops: Tensor, weights: Tensor | None, order: int):
         right = reshape(pops, (n, groups) + (1,) * p + (dim,))
         prod = left * right
     if weights is None:
-        moments = tmean(prod, axis=0)
-        active = np.ones(groups, dtype=bool)
-    else:
-        mass = tsum(weights, axis=0)
-        active = mass.data >= _MIN_CLUSTER_MASS
-        if not active.any():
-            raise ValueError("all cluster responsibilities are degenerate (~0)")
-        w_col = reshape(weights, (n, groups) + (1,) * order)
-        sums = tsum(prod * w_col, axis=0)
-        safe_mass = mass + Tensor(np.where(active, 0.0, 1.0))
-        moments = sums / reshape(safe_mass, (groups,) + (1,) * order)
+        return tmean(prod, axis=0), np.ones(groups, dtype=bool)
+    mass = tsum(weights, axis=0)
+    active = mass.data >= _MIN_CLUSTER_MASS
+    if not active.any():
+        raise ValueError("all cluster responsibilities are degenerate (~0)")
+    w_col = reshape(weights, (n, groups) + (1,) * order)
+    sums = tsum(prod * w_col, axis=0)
+    safe_mass = mass + Tensor(np.where(active, 0.0, 1.0))
+    return sums / reshape(safe_mass, (groups,) + (1,) * order), active
+
+
+def _population_loss(pops: Tensor, weights: Tensor | None, order: int):
+    """Weighted moment discrepancy per population.
+
+    Returns ``(per_group, active)``: a (G,) tensor of discrepancies, with
+    starved populations masked to zero, and the mask of the survivors the
+    caller averages over.
+    """
+    dim = pops.shape[2]
+    moments, active = population_moments(pops, weights, order)
     targets = Tensor(moment_targets(order, dim))
     entry_w = Tensor(weight_tensor(order, dim))
     sq = powi(moments - targets, 2) * entry_w

@@ -45,16 +45,6 @@ class OutlierGate:
         return self.tau is not None
 
 
-def mahalanobis(z: np.ndarray, center: np.ndarray, variances: np.ndarray) -> float:
-    """Diagonal-covariance Mahalanobis distance of one point to one cluster."""
-    z = np.asarray(z, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    variances = np.asarray(variances, dtype=np.float64)
-    if np.any(variances <= 0.0):
-        raise ValueError("variances must be strictly positive")
-    return math.sqrt(float((((z - center) ** 2) / variances).sum()))
-
-
 def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
     """Aggregated Mahalanobis score of each sample, shape (n,)."""
     if mode not in GATE_MODES:
@@ -67,11 +57,6 @@ def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
     d2 = (((z[:, None, :] - centers[None]) ** 2) / variances[None]).sum(axis=2)
     dist = np.sqrt(d2)
     return dist.max(axis=1) if mode == "max" else dist.min(axis=1)
-
-
-def score(gate: OutlierGate, head, z: np.ndarray) -> float:
-    """Score a single latent point under the gate's aggregation mode."""
-    return float(scores(head, np.asarray(z).reshape(1, -1), gate.mode)[0])
 
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor, backward, clip_global_norm, tsum
 from .datasets import Dataset, SyntheticSpec, augment_strong, augment_weak, generate
-from .heads import HEAD_KINDS, Backbone, init_head, log_conditional
+from .heads import HEAD_KINDS, Backbone, conditional, init_head, log_conditional
 from .metrics import MetricsReport, compactness, pseudo_quality
 from .moments import MomentSpec, mom_loss
 from .outlier import OutlierGate, fit_threshold, mask as gate_mask
@@ -275,10 +275,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
     if unlabeled is not None:
         m = unlabeled.weak.shape[0]
         zw = state.backbone.embed(Tensor(unlabeled.weak), tape)
-        weak_scores = state.head.class_log_scores(zw, tape)
-        shifted = weak_scores.data - weak_scores.data.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = conditional(state.head, zw.data).data  # untaped: labels carry no gradient
 
         if config.gate.enabled and state.gate.fitted:
             keep_gate = gate_mask(state.gate, state.head, zw.data)
@@ -455,5 +452,6 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
         with open(out_dir / "manifest.json", "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
-        save_checkpoint(out_dir / "checkpoint.bin", model_arrays(state.backbone, state.head))
+        with _SwappedParams(state):  # the weights the final metrics were measured on
+            save_checkpoint(out_dir / "checkpoint.bin", model_arrays(state.backbone, state.head))
     return report, state, manifest

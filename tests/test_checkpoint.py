@@ -66,6 +66,15 @@ class TestCorruption:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_truncated_anywhere(self, tmp_path, rng):
+        path = tmp_path / "cut.bin"
+        save_checkpoint(path, {"w": rng.normal(size=(2, 3)), "scalar": np.array(1.5)})
+        data = path.read_bytes()
+        for offset in range(len(data)):
+            path.write_bytes(data[:offset])
+            with pytest.raises(ValueError, match="truncated checkpoint"):
+                load_checkpoint(path)
+
     def test_name_mismatch(self, tmp_path, rng):
         path = tmp_path / "names.bin"
         save_checkpoint(path, {"stray": rng.normal(size=(2,))})

@@ -1,11 +1,16 @@
 """Config-file parsing contracts and CLI subcommand behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gmix.cli import main
-from gmix.config import ConfigError, config_hash, parse_config_text
+from gmix.config import SCHEMA, ConfigError, _lookup, config_hash, parse_config_text
+from gmix.datasets import SyntheticSpec
+from gmix.pipeline import RunConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_RUN = """
 # quick desk run
@@ -94,6 +99,38 @@ class TestFlatten:
         _, _, flat2 = parse_config_text("run.seed=1\n")
         assert config_hash(flat2) != h1
 
+    @pytest.mark.parametrize("text, expected", [
+        ("", "838f0f3ace15"),
+        ("mom.orders = 4\n", "feb997043031"),
+    ])
+    def test_hash_pinned(self, text, expected):
+        # Run directories are named by this hash; a change renames them all.
+        _, _, flat = parse_config_text(text)
+        assert config_hash(flat) == expected
+
+
+def readme_defaults() -> dict[str, str]:
+    """The key and default columns of the README's config table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows[key] = default
+    return rows
+
+
+class TestReadmeTable:
+    def test_rows_are_the_schema_keys(self):
+        assert list(readme_defaults()) == list(SCHEMA)
+
+    def test_defaults_match_the_dataclasses(self):
+        roots = {"run": RunConfig(), "data": SyntheticSpec()}
+        for key, text in readme_defaults().items():
+            assert SCHEMA[key].parse(text) == _lookup(roots, SCHEMA[key].path), key
+
 
 class TestCli:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -142,6 +179,28 @@ class TestCli:
         header = tsv.read_text().splitlines()[0].split("\t")
         assert header == [f"z{i}" for i in range(4)] + ["label", "predicted", "score"]
         assert len(tsv.read_text().splitlines()) == 101
+
+    def test_eval_reports_the_manifest_accuracy_with_ema(self, tmp_path, capsys):
+        config_path = tmp_path / "ema.cfg"
+        config_path.write_text(TINY_RUN + "ssl.ema_decay = 0.9\n")
+        out_root = tmp_path / "runs"
+        assert main(["train", str(config_path), "--out-root", str(out_root)]) == 0
+        run_dir = next(out_root.iterdir())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        capsys.readouterr()
+        ckpt = run_dir / "checkpoint.bin"
+        assert main(["eval", str(config_path), "--checkpoint", str(ckpt)]) == 0
+        expected = manifest["final_metrics"]["test_acc"]
+        assert f"test_acc={expected:.4f}" in capsys.readouterr().out
+
+    def test_eval_on_truncated_checkpoint(self, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)
+        ckpt = tmp_path / "cut.bin"
+        ckpt.write_bytes(b"GMIXCKPT\x01\x00\x00\x00\x07\x00")  # 14 bytes, cut in the header
+        assert main(["eval", str(config_path), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated checkpoint")
 
     def test_train_determinism_bytes(self, tmp_path):
         config_path = tmp_path / "run.cfg"

@@ -1,21 +1,17 @@
-"""Metric conventions, the metrics table contract, and the moment
-diagnostic's agreement with the loss it reuses."""
+"""Metric conventions and the metrics table contract."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmix.autodiff import Tensor
 from gmix.metrics import (
     CSV_COLUMNS,
     MetricsReport,
     compactness,
-    moment_report,
     outlier_pr,
     pseudo_quality,
 )
-from gmix.moments import MomentSpec, mom_loss
 
 
 class TestCompactness:
@@ -47,32 +43,6 @@ class TestCompactness:
     def test_out_of_range_assignment(self):
         with pytest.raises(ValueError, match="range"):
             compactness(np.zeros((1, 2)), [5], np.zeros((2, 2)))
-
-
-class TestMomentReport:
-    def test_matches_mom_loss_components(self, rng):
-        z = rng.normal(size=(200, 4))
-        report = moment_report(z, 3)
-        _, per_order = mom_loss(Tensor(z), MomentSpec(max_order=3, mode="global"))
-        for p, value in report.items():
-            assert value == pytest.approx(per_order[p].item(), abs=1e-12)
-
-    def test_components_nonnegative_and_sum_to_total(self, rng):
-        z = rng.normal(size=(100, 3)) * 1.4
-        report = moment_report(z, 4)
-        total, _ = mom_loss(Tensor(z), MomentSpec(max_order=4, mode="global"))
-        assert all(v >= 0 for v in report.values())
-        assert sum(report.values()) == pytest.approx(total.item(), abs=1e-12)
-
-    def test_standard_normal_is_quiet_constant_is_not(self):
-        rng = np.random.default_rng(0)
-        quiet = moment_report(rng.standard_normal((50_000, 8)), 2)
-        loud = moment_report(np.full((100, 8), 1.7), 2, order_weights=(1.0, 1.0, 1.0, 1.0))
-        assert quiet[2] < 1e-3
-        assert loud[2] == pytest.approx(1.0, abs=1e-12)
-
-    def test_disabled(self):
-        assert moment_report(np.zeros((5, 2)), 0) == {}
 
 
 class TestOutlierPR:

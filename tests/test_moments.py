@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmix.autodiff import Parameter, Tape, finite_diff_check
+from gmix.autodiff import Parameter, Tape, Tensor, finite_diff_check
 from gmix.heads import init_head
 from gmix.moments import (
     MomentSpec,
@@ -21,7 +21,7 @@ from gmix.moments import (
     hyperdiag_count,
     mom_loss,
     moment_targets,
-    sample_moments,
+    population_moments,
     target_moment,
     weight_tensor,
 )
@@ -202,32 +202,63 @@ class TestWeights:
         assert w[0, 0] > w[0, 1]
 
 
+def chain(zc, order, weights=None):
+    """The moment chain on one population of samples, shape (dim,)*order."""
+    w = None if weights is None else Tensor(np.asarray(weights)[:, None])
+    moments, _ = population_moments(Tensor(np.asarray(zc)[:, None, :]), w, order)
+    return moments.data[0]
+
+
 class TestSampleMoments:
     def test_first_moment_of_centered_data(self, rng):
         z = rng.normal(size=(40, 3))
         zc = z - z.mean(axis=0)
-        np.testing.assert_allclose(sample_moments(zc, 1).data, 0.0, atol=1e-12)
+        np.testing.assert_allclose(chain(zc, 1), 0.0, atol=1e-12)
 
     def test_order_two_hand_sum(self):
         zc = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        out = sample_moments(zc, 2).data
-        np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(chain(zc, 2), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_matches_brute_force(self, rng):
         zc = rng.normal(size=(50, 3))
-        out = sample_moments(zc, 3).data
+        out = chain(zc, 3)
         for t in itertools.product(range(3), repeat=3):
             assert out[t] == pytest.approx(brute_moment(zc, t), abs=1e-12)
 
+    def test_weighted_matches_brute_force(self, rng):
+        zc = rng.normal(size=(30, 2))
+        w = rng.uniform(0.1, 2.0, size=30)
+        out = chain(zc, 4, w)
+        for t in itertools.product(range(2), repeat=4):
+            assert out[t] == pytest.approx(brute_moment(zc, t, weights=w), abs=1e-12)
+
     def test_symmetry(self, rng):
-        zc = rng.normal(size=(30, 3))
-        m = sample_moments(zc, 3).data
+        m = chain(rng.normal(size=(30, 3)), 3)
         for perm in itertools.permutations(range(3)):
             np.testing.assert_allclose(m, np.transpose(m, perm), atol=1e-12)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            sample_moments(np.zeros((0, 3)), 2)
+            centralize(np.zeros((0, 3)), "global")
+
+
+class TestPerOrderTerms:
+    def test_terms_nonnegative_and_sum_to_total(self, rng):
+        z = rng.normal(size=(100, 3)) * 1.4
+        total, per_order = mom_loss(Tensor(z), MomentSpec(max_order=4, mode="global"))
+        terms = [t.item() for t in per_order.values()]
+        assert sorted(per_order) == [1, 2, 3, 4]
+        assert all(v >= 0 for v in terms)
+        assert sum(terms) == pytest.approx(total.item(), abs=1e-12)
+
+    def test_standard_normal_is_quiet_constant_is_not(self):
+        rng = np.random.default_rng(0)
+        _, quiet = mom_loss(Tensor(rng.standard_normal((50_000, 8))),
+                            MomentSpec(max_order=2, mode="global"))
+        spec = MomentSpec(max_order=2, order_weights=(1.0, 1.0, 1.0, 1.0), mode="global")
+        _, loud = mom_loss(Tensor(np.full((100, 8), 1.7)), spec)
+        assert quiet[2].item() < 1e-3
+        assert loud[2].item() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCentralize:

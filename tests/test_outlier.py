@@ -12,10 +12,8 @@ from gmix.heads import AagmmHead, KmeansHead
 from gmix.outlier import (
     OutlierGate,
     fit_threshold,
-    mahalanobis,
     mask,
     nearest_rank_percentile,
-    score,
     scores,
 )
 
@@ -24,22 +22,30 @@ def head_with(centers, variances):
     return AagmmHead(np.asarray(centers, float), np.log(np.asarray(variances, float)))
 
 
+def one_cluster(center, variances):
+    return head_with([center], [variances])
+
+
 class TestMahalanobis:
+    """The distance formula, on ``scores`` with a one-cluster head."""
+
     def test_identity_covariance_is_euclidean(self, rng):
         z = rng.normal(size=5)
         c = rng.normal(size=5)
-        assert mahalanobis(z, c, np.ones(5)) == pytest.approx(np.linalg.norm(z - c))
+        s = scores(one_cluster(c, np.ones(5)), z)
+        assert s[0] == pytest.approx(np.linalg.norm(z - c))
 
     def test_direct_formula(self):
-        d = mahalanobis([2.0, 1.0], [0.0, 0.0], [4.0, 1.0])
-        assert d == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        s = scores(one_cluster([0.0, 0.0], [4.0, 1.0]), [2.0, 1.0])
+        assert s[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_zero_at_center(self):
-        assert mahalanobis([1.0, -2.0], [1.0, -2.0], [3.0, 0.5]) == 0.0
+        assert scores(one_cluster([1.0, -2.0], [3.0, 0.5]), [1.0, -2.0])[0] == 0.0
 
     def test_nonpositive_variance_rejected(self):
+        head = AagmmHead(np.zeros((1, 1)), np.full((1, 1), -np.inf))  # variance exp(-inf) = 0
         with pytest.raises(ValueError, match="positive"):
-            mahalanobis([1.0], [0.0], [0.0])
+            scores(head, [1.0])
 
     @given(st.floats(0.01, 100.0))
     def test_scale_equivariance(self, c):
@@ -47,24 +53,22 @@ class TestMahalanobis:
         z = np.array([1.0, 2.0, -0.5])
         center = np.array([0.2, -0.3, 0.1])
         var = np.array([2.0, 0.5, 1.5])
-        base = mahalanobis(z, center, var)
-        scaled = mahalanobis(center + c * (z - center), center, c * c * var)
+        base = scores(one_cluster(center, var), z)[0]
+        scaled = scores(one_cluster(center, c * c * var), center + c * (z - center))[0]
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
 class TestScore:
     def test_single_cluster_both_modes(self):
-        head = head_with([[0.0, 0.0]], [[1.0, 1.0]])
-        z = np.array([3.0, 4.0])
+        head = one_cluster([0.0, 0.0], [1.0, 1.0])
         for mode in ("max", "min"):
-            gate = OutlierGate(mode=mode)
-            assert score(gate, head, z) == pytest.approx(5.0)
+            assert scores(head, [3.0, 4.0], mode)[0] == pytest.approx(5.0)
 
     def test_two_cluster_aggregation(self):
         head = head_with([[1.0], [5.0]], [[1.0], [1.0]])
         z = np.array([0.0])
-        assert score(OutlierGate(mode="max"), head, z) == pytest.approx(5.0)
-        assert score(OutlierGate(mode="min"), head, z) == pytest.approx(1.0)
+        assert scores(head, z, "max")[0] == pytest.approx(5.0)
+        assert scores(head, z, "min")[0] == pytest.approx(1.0)
 
     def test_scores_nonnegative(self, rng):
         head = head_with(rng.normal(size=(4, 3)), rng.uniform(0.5, 2, (4, 3)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gmix.autodiff import Parameter, Tape, Tensor, backward, clip_global_norm, tsum
+from gmix.checkpoint import load_checkpoint
 from gmix.datasets import SyntheticSpec, generate
 from gmix.heads import log_conditional
 from gmix.moments import MomentSpec, mom_loss
@@ -304,6 +305,15 @@ class TestRun:
         shadows = np.concatenate([state.ema[p.name].ravel() for p in state.parameters()])
         live = np.concatenate([p.value.ravel() for p in state.parameters()])
         assert not np.array_equal(shadows, live)
+
+    def test_checkpoint_holds_the_ema_weights(self, tmp_path):
+        config = small_config(steps=20, ema_decay=0.9)
+        _, state, _ = run(config, SMALL_DATA, out_dir=tmp_path)
+        saved = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert list(saved) == [p.name for p in state.parameters()]
+        for p in state.parameters():
+            np.testing.assert_array_equal(saved[p.name], state.ema[p.name])
+            assert not np.array_equal(saved[p.name], p.value)
 
     def test_pseudo_rate_rises_on_separable_data(self):
         rates_first, rates_last = [], []
