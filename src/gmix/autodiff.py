@@ -1,10 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Values are numpy float64 arrays. Every operation checks that its result
-is finite and, when an operand is attached to a :class:`Tape`, records a
-closure routing the output gradient back to the operand slots. A reverse
-pass replays the records in exact reverse execution order, so a slot's
-gradient is fully accumulated before the record that produced it runs.
+is finite and builds it through one helper, :func:`_result`: when an
+operand is attached to a :class:`Tape`, the helper records one closure
+routing the output gradient back to the operand slots, each through the
+op's vector-Jacobian product. A reverse pass replays the records in exact
+reverse execution order, so a slot's gradient is fully accumulated before
+the record that produced it runs.
+
+A tape and the tensors it records form reference cycles, so their memory
+is returned only when the records are dropped: ``pipeline.train_step``
+calls :meth:`Tape.clear` once the reverse pass is done.
 
 Tensors without a tape behave as constants: nothing is recorded and no
 gradient bookkeeping happens, which makes evaluation-only forward passes
@@ -66,6 +72,10 @@ class Tape:
         """Run recorded closures in reverse execution order."""
         for fn in reversed(self._records):
             fn()
+
+    def clear(self) -> None:
+        """Drop every record, releasing the intermediates they hold."""
+        self._records.clear()
 
 
 class Tensor:
@@ -150,13 +160,12 @@ class Parameter:
     is called; zeroing is always explicit, never implicit.
     """
 
-    __slots__ = ("value", "grad", "name", "trainable")
+    __slots__ = ("value", "grad", "name")
 
-    def __init__(self, value, name: str = "", trainable: bool = True) -> None:
+    def __init__(self, value, name: str = "") -> None:
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
         self.name = name
-        self.trainable = trainable
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -173,7 +182,7 @@ class Parameter:
         contribution into the leaf slot.
         """
         t = Tensor(self.value, tape)
-        if tape is not None and self.trainable:
+        if tape is not None:
 
             def backward_leaf() -> None:
                 if t.grad is not None:
@@ -213,6 +222,27 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _result(data: np.ndarray, tape: Tape | None, *routes) -> Tensor:
+    """Wrap an op's forward result; on a tape, record its gradient route.
+
+    Each route is an ``(operand, vjp)`` pair: the recorded closure passes
+    the output gradient through ``vjp`` into ``operand``, pair by pair in
+    the order given.
+    """
+    out = Tensor(data, tape)
+    if tape is not None:
+
+        def backward_fn() -> None:
+            g = out.grad
+            if g is None:
+                return
+            for operand, vjp in routes:
+                _accumulate(operand, vjp(g))
+
+        tape.record(backward_fn)
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient over the axes that broadcasting expanded."""
     extra = g.ndim - len(shape)
@@ -236,18 +266,11 @@ def _binary(op: str, a, b, fwd, da, db) -> Tensor:
             f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcast-compatible"
         ) from None
     _check_finite(data, op)
-    out = Tensor(data, tape)
-    if tape is not None:
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, _unbroadcast(da(g, a.data, b.data, data), a.data.shape))
-            _accumulate(b, _unbroadcast(db(g, a.data, b.data, data), b.data.shape))
-
-        tape.record(backward_fn)
-    return out
+    return _result(
+        data, tape,
+        (a, lambda g: _unbroadcast(da(g, a.data, b.data, data), a.data.shape)),
+        (b, lambda g: _unbroadcast(db(g, a.data, b.data, data), b.data.shape)),
+    )
 
 
 def add(a, b) -> Tensor:
@@ -294,18 +317,7 @@ def matmul(a, b) -> Tensor:
     tape = _join_tape(a, b)
     data = a.data @ b.data
     _check_finite(data, "matmul")
-    out = Tensor(data, tape)
-    if tape is not None:
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-
-        tape.record(backward_fn)
-    return out
+    return _result(data, tape, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def _unary(op: str, a, fwd, dx) -> Tensor:
@@ -313,17 +325,7 @@ def _unary(op: str, a, fwd, dx) -> Tensor:
     with np.errstate(all="ignore"):
         data = fwd(a.data)
     _check_finite(data, op)
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, dx(g, a.data, data))
-
-        a.tape.record(backward_fn)
-    return out
+    return _result(data, a.tape, (a, lambda g: dx(g, a.data, data)))
 
 
 def exp(a) -> Tensor:
@@ -388,18 +390,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axis, a.data.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
     _check_finite(data, "sum")
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        shape = a.data.shape
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, _expand_reduced(g, shape, axes, keepdims))
-
-        a.tape.record(backward_fn)
-    return out
+    return _result(data, a.tape, (a, lambda g: _expand_reduced(g, a.data.shape, axes, keepdims)))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -410,19 +401,10 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         raise ValueError("mean over an empty reduction")
     data = a.data.mean(axis=axes, keepdims=keepdims)
     _check_finite(data, "mean")
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        shape = a.data.shape
-        inv = 1.0 / count
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, _expand_reduced(g * inv, shape, axes, keepdims))
-
-        a.tape.record(backward_fn)
-    return out
+    inv = 1.0 / count
+    return _result(
+        data, a.tape, (a, lambda g: _expand_reduced(g * inv, a.data.shape, axes, keepdims))
+    )
 
 
 def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -434,26 +416,20 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
         raise ValueError("max over an empty reduction")
     data = a.data.max(axis=axis, keepdims=keepdims)
     _check_finite(data, "max")
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        x = a.data
+    return _result(data, a.tape, (a, lambda g: _max_vjp(g, a.data, axis, keepdims)))
 
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            full = np.zeros_like(x)
-            if axis is None:
-                idx = np.unravel_index(np.argmax(x), x.shape)
-                full[idx] = np.asarray(g).reshape(())
-            else:
-                am = np.expand_dims(np.argmax(x, axis=axis), axis)
-                gg = g if keepdims else np.expand_dims(g, axis)
-                np.put_along_axis(full, am, np.broadcast_to(gg, am.shape), axis)
-            _accumulate(a, full)
 
-        a.tape.record(backward_fn)
-    return out
+def _max_vjp(g: np.ndarray, x: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """Scatter a reduce-max gradient onto the first maximal entries of ``x``."""
+    full = np.zeros_like(x)
+    if axis is None:
+        idx = np.unravel_index(np.argmax(x), x.shape)
+        full[idx] = np.asarray(g).reshape(())
+    else:
+        am = np.expand_dims(np.argmax(x, axis=axis), axis)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        np.put_along_axis(full, am, np.broadcast_to(gg, am.shape), axis)
+    return full
 
 
 def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -473,39 +449,17 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         data = np.squeeze(data_kept, axis=axis)
     _check_finite(data, "logsumexp")
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        softmax = shifted / total
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            if axis is None:
-                gg = np.asarray(g).reshape((1,) * x.ndim)
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, gg * softmax)
-
-        a.tape.record(backward_fn)
-    return out
+    softmax = shifted / total if a.tape is not None else None
+    axes = _normalize_axes(axis, x.ndim)
+    return _result(
+        data, a.tape, (a, lambda g: _expand_reduced(g, x.shape, axes, keepdims) * softmax)
+    )
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
-    out = Tensor(data, a.tape)
-    if a.tape is not None:
-        original = a.data.shape
-
-        def backward_fn() -> None:
-            g = out.grad
-            if g is None:
-                return
-            _accumulate(a, np.asarray(g).reshape(original))
-
-        a.tape.record(backward_fn)
-    return out
+    return _result(data, a.tape, (a, lambda g: np.asarray(g).reshape(a.data.shape)))
 
 
 def backward(loss: Tensor) -> None:

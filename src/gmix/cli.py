@@ -23,7 +23,7 @@ from .config import ConfigError, config_hash, parse_config, parse_config_text
 from .datasets import generate
 from .gradcheck import format_table, run_suite
 from .heads import conditional
-from .moments import MomentSpec, class_size, mom_loss, target_moment
+from .moments import MAX_ORDER, MomentSpec, class_size, mom_loss, target_moment
 from .outlier import scores as outlier_scores
 from .pipeline import RunConfig, evaluate, init_state, run
 
@@ -77,6 +77,12 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_moments_selftest(args) -> int:
+    if not 1 <= args.max_order <= MAX_ORDER:
+        raise ValueError(f"--max-order must be in 1..{MAX_ORDER}, got {args.max_order}")
+    if args.dim < 1:
+        raise ValueError(f"--dim must be at least 1, got {args.dim}")
+    if args.repeats < 2:  # the noise floor's standard deviation needs two
+        raise ValueError(f"--repeats must be at least 2, got {args.repeats}")
     dim = args.dim
     ok = True
     lines = []

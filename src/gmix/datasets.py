@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DATASET_KINDS = ("warped-mixture", "two-moons", "rings")
-SPLITS = ("labeled", "unlabeled", "test")
 
 WEAK_NOISE = 0.05
 STRONG_NOISE = 0.15

@@ -184,18 +184,6 @@ def conditional(head, z, tape: Tape | None = None) -> Tensor:
     return exp(log_conditional(head, z, tape))
 
 
-def forward(backbone: Backbone, head, x, tape: Tape | None = None):
-    """Embed inputs and evaluate the head.
-
-    Returns ``(z, conditional, log_prior)``; the prior is None for the
-    linear head, which does not model the latent density.
-    """
-    z = backbone.embed(x, tape)
-    cond = conditional(head, z, tape)
-    prior = log_prior(head, z, tape) if head.generative else None
-    return z, cond, prior
-
-
 def _check_width(head, z: Tensor) -> None:
     if z.ndim != 2 or z.shape[1] != head.latent_dim:
         raise ValueError(

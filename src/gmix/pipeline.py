@@ -125,8 +125,6 @@ class SgdMomentum:
 
     def step(self) -> None:
         for p, v in zip(self.params, self.velocity):
-            if not p.trainable:
-                continue
             g = p.grad + self.weight_decay * p.value
             v *= self.momentum
             v += g
@@ -321,6 +319,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
         )
 
     backward(loss_total)
+    tape.clear()  # break the tape's reference cycles so this step's memory is freed now
     grad_scale = clip_global_norm(state.parameters(), config.clip_norm)
     state.optimizer.step()
     if state.ema is not None:

@@ -151,6 +151,19 @@ class TestCli:
         assert "order,hyperdiags,class_size,weight" in out
         assert "self-test passed" in out
 
+    @pytest.mark.parametrize("args, message", [
+        (["--max-order", "5"], "error: --max-order must be in 1..4"),
+        (["--max-order", "0"], "error: --max-order must be in 1..4"),
+        (["--dim", "0"], "error: --dim must be at least 1"),
+        (["--repeats", "1"], "error: --repeats must be at least 2"),
+    ])
+    def test_moments_selftest_rejects_out_of_range(self, capsys, args, message):
+        code = main(["moments-selftest", "--samples", "20", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(message)
+        assert "self-test passed" not in captured.out
+
     def test_train_eval_export_cycle(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(TINY_RUN)

@@ -14,7 +14,6 @@ from gmix.heads import (
     Backbone,
     KmeansHead,
     conditional,
-    forward,
     init_head,
     log_conditional,
     log_joint,
@@ -147,34 +146,30 @@ class TestHeadIdentities:
 
 
 class TestForward:
+    """The forward pass as the pipeline runs it: Backbone.embed, then the head."""
+
     def test_empty_input(self):
         backbone = Backbone(6, latent_dim=3, seed=0)
         head = init_head("aagmm", 4, 3, seed=1)
-        z, cond, prior = forward(backbone, head, np.zeros((0, 6)))
+        z = backbone.embed(np.zeros((0, 6)))
         assert z.shape == (0, 3)
-        assert cond.shape == (0, 4)
-        assert prior.shape == (0,)
+        assert conditional(head, z).shape == (0, 4)
+        assert log_prior(head, z).shape == (0,)
 
     def test_deterministic(self, rng):
         backbone = Backbone(6, latent_dim=3, seed=0)
         head = init_head("kmeans", 4, 3, seed=1)
         x = rng.normal(size=(5, 6))
-        a = forward(backbone, head, x)[1].data
-        b = forward(backbone, head, x)[1].data
+        a = conditional(head, backbone.embed(x)).data
+        b = conditional(head, backbone.embed(x)).data
         np.testing.assert_array_equal(a, b)
 
     def test_rows_sum_to_one(self, rng):
         backbone = Backbone(6, latent_dim=3, seed=0)
-        head = init_head("aagmm", 4, 3, seed=1)
-        _, cond, _ = forward(backbone, head, rng.normal(size=(40, 6)))
-        np.testing.assert_allclose(cond.data.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_linear_head_prior_is_none(self, rng):
-        backbone = Backbone(6, latent_dim=3, seed=0)
-        head = init_head("linear", 4, 3, seed=1)
-        _, cond, prior = forward(backbone, head, rng.normal(size=(5, 6)))
-        assert prior is None
-        np.testing.assert_allclose(cond.data.sum(axis=1), 1.0, atol=1e-9)
+        z = backbone.embed(rng.normal(size=(40, 6)))
+        for kind in ("aagmm", "linear"):
+            cond = conditional(init_head(kind, 4, 3, seed=1), z)
+            np.testing.assert_allclose(cond.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestInitHead:

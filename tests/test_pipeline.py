@@ -6,8 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gmix import pipeline
 from gmix.autodiff import Parameter, Tape, Tensor, backward, clip_global_norm, tsum
 from gmix.checkpoint import load_checkpoint
+from gmix.config import parse_config_text
 from gmix.datasets import SyntheticSpec, generate
 from gmix.heads import log_conditional
 from gmix.moments import MomentSpec, mom_loss
@@ -224,6 +226,40 @@ class TestStepMechanics:
         p.grad[:] = 0.0
         opt.step()  # velocity carries half the previous update
         np.testing.assert_allclose(p.value, [0.7])
+
+
+class TestTape:
+    @pytest.mark.parametrize("overrides, records", [("", 126), ("mom.orders = 4\n", 189)])
+    def test_records_per_step_are_pinned(self, monkeypatch, overrides, records):
+        # One record per op: a refactor that adds or drops a record changes
+        # these counts, which are also the benchmark's tape_records counter.
+        counts = []
+
+        def counting_backward(loss):
+            counts.append(len(loss.tape))
+            backward(loss)
+
+        monkeypatch.setattr(pipeline, "backward", counting_backward)
+        config, spec, _ = parse_config_text("run.steps = 3\n" + overrides)
+        run(config, spec)
+        assert counts == [records] * 3
+
+    def test_tape_is_released_after_backward(self, monkeypatch):
+        tapes = []
+
+        def capturing_tape():
+            tapes.append(Tape())
+            return tapes[-1]
+
+        monkeypatch.setattr(pipeline, "Tape", capturing_tape)
+        config = small_config()
+        dataset = generate(SMALL_DATA)
+        state = init_state(config, dataset)
+        labeled = sample_labeled(dataset, state.rng, config)
+        unlabeled = sample_unlabeled(dataset, state.rng, config)
+        train_step(state, labeled, unlabeled, config)
+        assert len(tapes) == 1
+        assert len(tapes[0]) == 0
 
 
 class TestEvaluate:
