@@ -13,6 +13,7 @@ Plain binary layout, little-endian throughout:
         float64[n]  payload, row-major
 
 Tensors round-trip bit-exactly; readers reject unknown magic/version.
+The file is written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ import struct
 
 import numpy as np
 
+from .fileio import atomic_write
+
 MAGIC = b"GMIXCKPT"
 VERSION = 1
 
 
 def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(named_arrays)))
         for name, arr in named_arrays.items():

@@ -169,6 +169,8 @@ def _sweep_worker(task):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.config) as f:
         base_text = f.read()
     grids = []

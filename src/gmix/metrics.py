@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import atomic_write
+
 CSV_COLUMNS = (
     "step",
     "loss_sup",
@@ -48,7 +50,7 @@ class MetricsReport:
         self.rows.append({k: row[k] for k in CSV_COLUMNS})
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
             for row in self.rows:
                 f.write(",".join(_fmt(row[k]) for k in CSV_COLUMNS) + "\n")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor, backward, clip_global_norm, tsum
 from .datasets import Dataset, SyntheticSpec, augment_strong, augment_weak, generate
+from .fileio import atomic_write
 from .heads import HEAD_KINDS, Backbone, conditional, init_head, log_conditional
 from .metrics import MetricsReport, compactness, pseudo_quality
 from .moments import MomentSpec, mom_loss
@@ -409,8 +410,8 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
 
     Emits one metrics row at step 0 and every ``eval_every`` steps
     (always including the final step). When ``out_dir`` is given, writes
-    metrics.csv, manifest.json, and checkpoint.bin there. Returns
-    ``(report, state, manifest)``.
+    metrics.csv, manifest.json, and checkpoint.bin there, each to a
+    temporary file renamed into place. Returns ``(report, state, manifest)``.
     """
     from .checkpoint import model_arrays, save_checkpoint
     from .config import config_hash, flatten_config
@@ -448,7 +449,7 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report.to_csv(out_dir / "metrics.csv")
-        with open(out_dir / "manifest.json", "w") as f:
+        with atomic_write(out_dir / "manifest.json") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
         with _SwappedParams(state):  # the weights the final metrics were measured on

@@ -255,6 +255,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "run.seed=0" in out and "run.seed=1" in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)
+        out_root = tmp_path / "sweep"
+        code = main([
+            "sweep", str(config_path), "--grid", "run.seed=0,1",
+            "--jobs", jobs, "--out-root", str(out_root),
+        ])
+        assert code == 1
+        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out_root.exists()
+
     def test_out_root_env_var(self, tmp_path, capsys, monkeypatch):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(TINY_RUN)

@@ -1,6 +1,7 @@
 """Moment-constraint checks: combinatorics against brute-force tuple
-enumeration, targets against Monte-Carlo estimates, and the vectorized
-loss against naive nested-loop oracles in both centralization modes."""
+enumeration, targets against Monte-Carlo estimates, the vectorized loss
+against naive nested-loop oracles in both centralization modes, and the
+multiset primitive against the dense outer-product chain it replaced."""
 
 import itertools
 import math
@@ -10,18 +11,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmix.autodiff import Parameter, Tape, Tensor, finite_diff_check
+from gmix.autodiff import (
+    NonFiniteError,
+    Parameter,
+    Tape,
+    Tensor,
+    backward,
+    finite_diff_check,
+    powi,
+    reshape,
+    tmean,
+    tsum,
+)
 from gmix.heads import init_head
 from gmix.moments import (
+    _MIN_CLUSTER_MASS,
     MomentSpec,
+    _estimate,
     centralize,
     class_size,
     class_weight,
     double_factorial,
     hyperdiag_count,
     mom_loss,
+    moment_discrepancy,
     moment_targets,
-    population_moments,
+    multiset_tuples,
+    multisets,
     target_moment,
     weight_tensor,
 )
@@ -203,10 +219,85 @@ class TestWeights:
 
 
 def chain(zc, order, weights=None):
-    """The moment chain on one population of samples, shape (dim,)*order."""
-    w = None if weights is None else Tensor(np.asarray(weights)[:, None])
-    moments, _ = population_moments(Tensor(np.asarray(zc)[:, None, :]), w, order)
-    return moments.data[0]
+    """The primitive's per-multiset moments of one population, scattered
+    into the dense (dim,)*order tensor."""
+    zc = np.asarray(zc)
+    n, dim = zc.shape
+    w = np.ones((n, 1)) if weights is None else np.asarray(weights)[:, None]
+    moments = _estimate(zc[:, None, :], w, order).moments[0]
+    position = multiset_positions(order, dim)
+    dense = np.empty((dim,) * order)
+    for t in itertools.product(range(dim), repeat=order):
+        dense[t] = moments[position[tuple(sorted(t))]]
+    return dense
+
+
+def multiset_positions(order, dim):
+    """Each sorted index tuple's position in the multiset tables."""
+    return {t: u for u, t in enumerate(multiset_tuples(order, dim))}
+
+
+def dense_population_moments(pops, weights, order):
+    """Reference: the dense (n, G) + (dim,)*order outer-product chain on the tape."""
+    n, groups, dim = pops.shape
+    prod = pops
+    for p in range(1, order):
+        left = reshape(prod, (n, groups) + (dim,) * p + (1,))
+        right = reshape(pops, (n, groups) + (1,) * p + (dim,))
+        prod = left * right
+    if weights is None:
+        return tmean(prod, axis=0), np.ones(groups, dtype=bool)
+    mass = tsum(weights, axis=0)
+    active = mass.data >= _MIN_CLUSTER_MASS
+    w_col = reshape(weights, (n, groups) + (1,) * order)
+    sums = tsum(prod * w_col, axis=0)
+    safe_mass = mass + Tensor(np.where(active, 0.0, 1.0))
+    return sums / reshape(safe_mass, (groups,) + (1,) * order), active
+
+
+def dense_mom_loss(z, spec, head=None, sample_mask=None):
+    """Reference: mom_loss over the dense tensors, weighted by weight_tensor."""
+    batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
+    per_order = {}
+    total = None
+    for order in range(1, spec.max_order + 1):
+        if spec.mode == "global" and order == 1:
+            m1 = batch.mean_offset
+            term = tsum(powi(m1, 2) * Tensor(weight_tensor(1, m1.shape[0])))
+        else:
+            moments, active = dense_population_moments(
+                batch.populations, batch.weights, order
+            )
+            dim = batch.populations.shape[2]
+            sq = powi(moments - Tensor(moment_targets(order, dim)), 2)
+            per_group = tsum(sq * Tensor(weight_tensor(order, dim)),
+                             axis=tuple(range(1, order + 1)))
+            per_group = per_group * Tensor(active.astype(np.float64))
+            term = tsum(per_group) / float(active.sum())
+        term = spec.order_weights[order - 1] * term
+        per_order[order] = term
+        total = term if total is None else total + term
+    return total, per_order
+
+
+def loss_and_grads(loss_fn, z, spec, head, sample_mask=None):
+    """Loss, per-order terms and gradients with respect to z and the head."""
+    zp = Parameter(z)
+    params = [zp] + (head.parameters() if head is not None else [])
+    for p in params:
+        p.zero_grad()
+    tape = Tape()
+    total, per_order = loss_fn(zp.use(tape), spec, head=head, sample_mask=sample_mask)
+    backward(total)
+    terms = {p: t.item() for p, t in per_order.items()}
+    return total.item(), terms, [p.grad.copy() for p in params]
+
+
+def assert_rel_close(actual, expected, rel):
+    """Worst absolute error within ``rel`` of the reference's largest magnitude."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rel * scale
 
 
 class TestSampleMoments:
@@ -377,12 +468,20 @@ class TestMomLoss:
 
     def test_starved_cluster_is_excluded_not_fatal(self, rng):
         centers = np.array([[0.0, 0.0], [0.0, 1.0], [500.0, 500.0]])
-        head = init_head("kmeans", 3, 2, seed=0)
-        head.centers.value[...] = centers
         z = rng.normal(size=(20, 2))
-        spec = MomentSpec(max_order=2, mode="per-cluster-soft")
-        total, _ = mom_loss(z, spec, head=head)
-        assert np.isfinite(total.item())
+        spec = MomentSpec(max_order=4, mode="per-cluster-soft")
+        for kind in ("kmeans", "aagmm"):
+            head = init_head(kind, 3, 2, seed=0)
+            head.centers.value[...] = centers
+            for p in head.parameters():
+                p.zero_grad()
+            total, _ = mom_loss(Tensor(z, Tape()), spec, head=head)
+            assert np.isfinite(total.item())
+            backward(total)
+            # The far cluster is masked out, so none of the loss reaches it.
+            for p in head.parameters():
+                assert np.all(p.grad[2] == 0.0), (kind, p.name)
+                assert np.any(p.grad[:2] != 0.0), (kind, p.name)
 
     def test_empty_sample_faults(self):
         spec = MomentSpec(max_order=1, mode="global")
@@ -407,6 +506,87 @@ class TestMomLoss:
         spec = MomentSpec(max_order=1, mode="global")
         with pytest.raises(ValueError, match="mask"):
             mom_loss(np.ones((4, 2)), spec, sample_mask=np.zeros(4, dtype=bool))
+
+
+class TestMultisetPrimitive:
+    @pytest.mark.parametrize("order, count", [(1, 8), (2, 36), (3, 120), (4, 330)])
+    def test_table_matches_the_dense_oracle(self, order, count):
+        # Every dense entry equals its multiset's target, and its weight
+        # times the multiset's multiplicity equals the folded coefficient.
+        dim = 8
+        table = multisets(order, dim)
+        assert table.coef.shape == (count,) == (math.comb(dim + order - 1, order),)
+        position = multiset_positions(order, dim)
+        targets, weights = moment_targets(order, dim), weight_tensor(order, dim)
+        folded = np.zeros(count)
+        for t in itertools.product(range(dim), repeat=order):
+            u = position[tuple(sorted(t))]
+            assert targets[t] == table.target[u]
+            folded[u] += weights[t]
+        np.testing.assert_allclose(folded, table.coef, rtol=1e-14)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("mode, kind", [
+        ("global", None),
+        ("per-cluster-soft", "aagmm"),
+        ("per-cluster-soft", "kmeans"),
+    ])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, order, mode, kind, masked, rng):
+        # 40 rows of 3 x 330 products span two of the weights' row blocks at order 4.
+        dim = 8
+        z = rng.normal(size=(40, dim)) * 1.2 + 0.1
+        head = init_head(kind, 3, dim, seed=5) if kind else None
+        mask = None
+        if masked:
+            mask = np.ones(40, dtype=bool)
+            mask[[2, 11, 17, 23, 39]] = False
+        spec = MomentSpec(max_order=order, mode=mode)
+        loss, terms, grads = loss_and_grads(mom_loss, z, spec, head, mask)
+        ref_loss, ref_terms, ref_grads = loss_and_grads(dense_mom_loss, z, spec, head, mask)
+        assert_rel_close(loss, ref_loss, 1e-12)
+        for p in ref_terms:
+            assert_rel_close(terms[p], ref_terms[p], 1e-12)
+        assert len(grads) == len(ref_grads) == (1 if head is None else 1 + len(head.parameters()))
+        for g, ref in zip(grads, ref_grads):
+            assert_rel_close(g, ref, 1e-12)
+
+    def test_dim_16_order_4_matches_nested_loop_oracle(self, rng):
+        # 3,876 multisets stand for the 65,536 dense entries.
+        assert multisets(4, 16).coef.size == 3876
+        head = init_head("aagmm", 2, 16, seed=1)
+        z = rng.normal(size=(6, 16))
+        spec = MomentSpec(max_order=4, mode="per-cluster-soft")
+        total, per = mom_loss(z, spec, head=head)
+        ref_total, ref_per = brute_cluster_loss(z, spec, head)
+        assert total.item() == pytest.approx(ref_total, rel=1e-12)
+        for p in per:
+            assert per[p].item() == pytest.approx(ref_per[p], rel=1e-12)
+
+    def test_non_finite_moment_faults_with_the_order_named(self):
+        pops = Tensor(np.full((4, 1, 2), 1e90))
+        with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
+            moment_discrepancy(pops, None, 4)
+
+    def test_starved_group_gets_no_gradient(self, rng):
+        # Group 1's mass is positive but below the estimable minimum: it is
+        # masked out of the loss, so neither its samples nor its weights
+        # receive any gradient.
+        tape = Tape()
+        pops = Tensor(rng.normal(size=(10, 2, 3)), tape)
+        weights = Tensor(np.stack([rng.uniform(0.1, 1.0, 10), np.full(10, 1e-12)], axis=1), tape)
+        per_group, active = moment_discrepancy(pops, weights, 3)
+        assert active.tolist() == [True, False]
+        assert per_group.data[1] == 0.0
+        backward(tsum(per_group))
+        assert np.all(pops.grad[:, 1] == 0.0) and np.any(pops.grad[:, 0] != 0.0)
+        assert np.all(weights.grad[:, 1] == 0.0) and np.any(weights.grad[:, 0] != 0.0)
+
+    def test_all_degenerate_responsibilities_fault(self):
+        weights = Tensor(np.zeros((5, 2)))
+        pops = Tensor(np.ones((5, 2, 3)))
+        with pytest.raises(ValueError, match="degenerate"):
+            moment_discrepancy(pops, weights, 2)
 
 
 class TestSpecValidation:
