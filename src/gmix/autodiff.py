@@ -50,6 +50,18 @@ __all__ = [
 ]
 
 
+# Entries per row block of the large elementwise kernels (256 KiB of
+# float64): a block's temporaries are reused from cache instead of being
+# page-faulted in fresh for every full-size array.
+BLOCK_ENTRIES = 1 << 15
+
+
+def row_blocks(n: int, row_entries: int) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` row ranges of about ``BLOCK_ENTRIES`` entries."""
+    rows = max(1, BLOCK_ENTRIES // max(1, row_entries))
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 class NonFiniteError(FloatingPointError):
     """A forward operation produced NaN or Inf."""
 
@@ -353,10 +365,20 @@ def neg(a) -> Tensor:
     return _unary("neg", a, np.negative, lambda g, x, o: -g)
 
 
+def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
+    # For a slope in [0, 1], max(x, slope*x) picks x when x > 0 and slope*x
+    # otherwise, the same values and signed zeros as np.where(x > 0, x,
+    # slope*x) without the boolean mask and its second full-size temporary.
+    out = np.multiply(x, slope)
+    return np.maximum(x, out, out=out)
+
+
 def leaky_relu(a, slope: float = 0.01) -> Tensor:
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
     return _unary(
         "leaky_relu", a,
-        lambda x: np.where(x > 0.0, x, slope * x),
+        lambda x: _leaky(x, slope),
         lambda g, x, o: g * np.where(x > 0.0, 1.0, slope),
     )
 

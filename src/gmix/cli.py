@@ -21,6 +21,7 @@ from .autodiff import Tensor
 from .checkpoint import load_model
 from .config import ConfigError, config_hash, parse_config, parse_config_text
 from .datasets import generate
+from .fileio import atomic_write
 from .gradcheck import format_table, run_suite
 from .heads import conditional
 from .moments import MAX_ORDER, MomentSpec, class_size, mom_loss, target_moment
@@ -144,7 +145,7 @@ def _cmd_export_embeddings(args) -> int:
     else:
         score = conditional(head, z).data.max(axis=1)
     dim = z.shape[1]
-    with open(args.out, "w") as f:
+    with atomic_write(args.out) as f:
         f.write("\t".join([f"z{i}" for i in range(dim)] + ["label", "predicted", "score"]) + "\n")
         for row, label, p, s in zip(z, y, pred, score):
             f.write("\t".join([f"{v:.10g}" for v in row] + [str(int(label)), str(int(p)), f"{s:.10g}"]) + "\n")

@@ -6,6 +6,12 @@ mixture prior, and the Bayes conditional. All density arithmetic runs
 in log-space; probabilities are only materialized through a shifted
 softmax, which stays finite for points arbitrarily far from every
 cluster center.
+
+Both mixture heads evaluate their per-class log joint density through
+one primitive, :func:`_mixture_log_joint`: one tape record with a
+hand-derived reverse pass, and a forward that works through the rows in
+blocks, so scoring a large pool never builds the full (n, K, D) residual
+array. Taped training, untaped scoring and evaluation all run it.
 """
 
 from __future__ import annotations
@@ -18,13 +24,15 @@ from .autodiff import (
     Parameter,
     Tape,
     Tensor,
+    _check_finite,
+    _join_tape,
+    _result,
+    _unbroadcast,
     exp,
     leaky_relu,
     logsumexp,
     matmul,
-    powi,
-    reshape,
-    tsum,
+    row_blocks,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -94,13 +102,7 @@ class AagmmHead:
         return np.exp(self.log_var.value)
 
     def log_joint(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        n, d = z.shape[0], self.latent_dim
-        mu = self.centers.use(tape)
-        lv = self.log_var.use(tape)
-        diff = reshape(z, (n, 1, d)) - mu
-        quad = tsum(powi(diff, 2) * exp(-lv), axis=2)
-        log_det = tsum(lv, axis=1)
-        return (-0.5 * d * LOG_2PI) - 0.5 * log_det - 0.5 * quad
+        return _mixture_log_joint(z, self.centers.use(tape), self.log_var.use(tape))
 
     class_log_scores = log_joint
 
@@ -123,11 +125,7 @@ class KmeansHead:
         return np.ones((self.n_classes, self.latent_dim))
 
     def log_joint(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        n, d = z.shape[0], self.latent_dim
-        mu = self.centers.use(tape)
-        diff = reshape(z, (n, 1, d)) - mu
-        quad = tsum(powi(diff, 2), axis=2)
-        return (-0.5 * d * LOG_2PI) - 0.5 * quad
+        return _mixture_log_joint(z, self.centers.use(tape), None)
 
     class_log_scores = log_joint
 
@@ -157,7 +155,6 @@ def log_joint(head, z, tape: Tape | None = None) -> Tensor:
     if not head.generative:
         raise TypeError(f"{head.kind} head does not model a joint density")
     z = z if isinstance(z, Tensor) else Tensor(z)
-    _check_width(head, z)
     return head.log_joint(z, tape)
 
 
@@ -174,7 +171,7 @@ def log_prior(head, z, tape: Tape | None = None) -> Tensor:
 def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
     """Row-normalized class log probabilities, shape (n, K)."""
     z = z if isinstance(z, Tensor) else Tensor(z)
-    _check_width(head, z)
+    _check_width(head.latent_dim, z)
     scores = head.class_log_scores(z, tape)
     return scores - logsumexp(scores, axis=1, keepdims=True)
 
@@ -184,11 +181,86 @@ def conditional(head, z, tape: Tape | None = None) -> Tensor:
     return exp(log_conditional(head, z, tape))
 
 
-def _check_width(head, z: Tensor) -> None:
-    if z.ndim != 2 or z.shape[1] != head.latent_dim:
-        raise ValueError(
-            f"expected embeddings of width {head.latent_dim}, got shape {z.shape}"
-        )
+def _check_width(width: int, z) -> None:
+    if z.ndim != 2 or z.shape[1] != width:
+        raise ValueError(f"expected embeddings of width {width}, got shape {z.shape}")
+
+
+def squared_residual_blocks(z: np.ndarray, centers: np.ndarray):
+    """Yield ``(lo, hi, sq)`` with ``sq[i - lo, k] = (z[i] - centers[k]) ** 2``.
+
+    The rows come in blocks of about ``autodiff.BLOCK_ENTRIES`` entries,
+    all written into one reused (rows, K, D) buffer: consume a block before
+    asking for the next. Each row's values do not depend on the blocking.
+    """
+    _check_width(centers.shape[1], z)
+    blocks = row_blocks(z.shape[0], centers.size)
+    buf = np.empty((blocks[0][1] if blocks else 0, *centers.shape))
+    for lo, hi in blocks:
+        sq = buf[:hi - lo]
+        np.subtract(z[lo:hi, None, :], centers, out=sq)
+        np.square(sq, out=sq)
+        yield lo, hi, sq
+
+
+def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
+    """Axis-aligned Gaussian log density of each row under each class, (n, K).
+
+    ``lv`` holds the log variances; None means unit variances (KMeans).
+    One tape record. The forward is the elementwise chain
+    ``const - 0.5 * sum(lv) - 0.5 * sum((z - mu)**2 * exp(-lv))`` in that
+    order, per row block. The reverse pass is hand-derived and repeats the
+    arithmetic the op-by-op chain did, so both give the same bits:
+
+    - quad gets -g * 0.5, spread over D;
+    - diff gets (quad's gradient * exp(-lv)) * (2 * diff);
+    - mu gets the sum over rows of -diff's gradient, z the sum over classes;
+    - lv gets 0.5 * -(g summed over rows) from the log determinant, plus
+      -(exp(-lv) * the row sum of quad's gradient * diff**2).
+    """
+    k, d = mu.shape
+    with np.errstate(all="ignore"):
+        base = -0.5 * d * LOG_2PI
+        inv_var = None
+        if lv is not None:
+            inv_var = np.exp(-lv.data)
+            base = base - 0.5 * lv.data.sum(axis=1)
+            # With no rows these are the only values a non-finite lv reaches.
+            _check_finite(inv_var, "log_joint")
+            _check_finite(base, "log_joint")
+        data = np.empty((z.shape[0], k))
+        for lo, hi, sq in squared_residual_blocks(z.data, mu.data):
+            if inv_var is not None:
+                np.multiply(sq, inv_var, out=sq)
+            quad = sq.sum(axis=2)
+            np.multiply(0.5, quad, out=quad)
+            np.subtract(base, quad, out=data[lo:hi])
+    # Every intermediate feeds the result through +, *, exp or sum, so the
+    # result is finite exactly when each step of the chain was.
+    _check_finite(data, "log_joint")
+    tape = _join_tape(z, mu) if lv is None else _join_tape(z, mu, lv)
+
+    memo: dict = {}
+
+    def grads(g):
+        # The routes below share one computation per reverse pass.
+        if memo.get("g") is not g:
+            diff = z.data[:, None, :] - mu.data  # the forward's residuals, recomputed
+            gq = np.broadcast_to(((-g) * 0.5)[:, :, None], diff.shape)
+            gp = gq if inv_var is None else gq * inv_var
+            gd = gp * (2 * diff)
+            memo.update(g=g, z=_unbroadcast(gd, (z.shape[0], 1, d)).reshape(z.shape),
+                        mu=(-gd).sum(axis=0))
+            if lv is not None:
+                ge = (gq * np.square(diff)).sum(axis=0)
+                memo["lv"] = (np.broadcast_to(((-g.sum(axis=0)) * 0.5)[:, None], (k, d))
+                              + (-(ge * inv_var)))
+        return memo
+
+    routes = [(z, lambda g: grads(g)["z"]), (mu, lambda g: grads(g)["mu"])]
+    if lv is not None:
+        routes.append((lv, lambda g: grads(g)["lv"]))
+    return _result(data, tape, *routes)
 
 
 def init_head(kind: str, n_classes: int, latent_dim: int, seed=0):

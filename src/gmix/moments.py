@@ -29,7 +29,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, _check_finite, _join_tape, _result, exp, reshape, tmean, tsum
+from .autodiff import (
+    Tensor,
+    _check_finite,
+    _join_tape,
+    _result,
+    exp,
+    reshape,
+    row_blocks,
+    tmean,
+    tsum,
+)
 
 MAX_ORDER = 4
 MODES = ("global", "per-cluster-soft")
@@ -39,9 +49,6 @@ DEFAULT_ORDER_WEIGHTS = (1.0, 0.5, 0.25, 0.125)
 # Below this total responsibility mass a cluster's moment estimate is
 # meaningless; such clusters are dropped from the per-cluster average.
 _MIN_CLUSTER_MASS = 1e-8
-
-# Entries per row block of the weights' reverse pass (256 KiB of float64).
-_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -358,9 +365,8 @@ def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
         # step's memory back to the OS at its end and fault it in again on
         # the next step: about 1,000 minor page faults per mom4 step.
         d_weights = np.empty((n, groups))
-        rows = max(1, _BLOCK_ENTRIES // est.prod[0].size)
-        for lo in range(0, n, rows):
-            d_weights[lo:lo + rows] = (est.prod[lo:lo + rows] * d_sums).sum(axis=2)
+        for lo, hi in row_blocks(n, est.prod[0].size):
+            d_weights[lo:hi] = (est.prod[lo:hi] * d_sums).sum(axis=2)
         return d_weights + d_mass
 
     routes = [(pops, vjp_pops)]

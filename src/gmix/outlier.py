@@ -5,7 +5,8 @@ A sample's score aggregates its Mahalanobis distances to every cluster
 close). The threshold is the nearest-rank percentile of scores over the
 labeled population, so at the default 90th percentile at most 10% of
 labeled samples can ever be flagged. Scoring is detached from training:
-everything here is plain numpy on frozen head parameters.
+everything here is plain numpy on frozen head parameters, computed in row
+blocks so that a large pool never builds its full (n, K, D) residuals.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .heads import squared_residual_blocks
 
 GATE_MODES = ("max", "min")
 
@@ -46,17 +49,25 @@ class OutlierGate:
 
 
 def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
-    """Aggregated Mahalanobis score of each sample, shape (n,)."""
+    """Aggregated Mahalanobis score of each sample, shape (n,).
+
+    A single sample may be given as a 1-D vector. Embeddings whose width
+    is not the head's latent dimension raise ``ValueError``.
+    """
     if mode not in GATE_MODES:
         raise ValueError(f"mode must be one of {GATE_MODES}")
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    centers = head.centers.value
     variances = head.variances()
     if np.any(variances <= 0.0):
         raise ValueError("variances must be strictly positive")
-    d2 = (((z[:, None, :] - centers[None]) ** 2) / variances[None]).sum(axis=2)
-    dist = np.sqrt(d2)
-    return dist.max(axis=1) if mode == "max" else dist.min(axis=1)
+    aggregate = np.max if mode == "max" else np.min
+    out = np.empty(z.shape[0])
+    for lo, hi, sq in squared_residual_blocks(z, head.centers.value):
+        np.divide(sq, variances, out=sq)
+        dist = sq.sum(axis=2)
+        np.sqrt(dist, out=dist)
+        aggregate(dist, axis=1, out=out[lo:hi])
+    return out
 
 
 def nearest_rank_percentile(values: np.ndarray, q: float) -> float:

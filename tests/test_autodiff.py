@@ -112,6 +112,19 @@ class TestMap:
         backward(out.sum())
         np.testing.assert_allclose(p.grad, [0.01, 1.0])
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
+    def test_leaky_relu_matches_where_bitwise(self, slope, rng):
+        tiny = np.finfo(np.float64).tiny
+        special = [0.0, -0.0, tiny, -tiny, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308]
+        x = np.concatenate([special, rng.normal(scale=10.0, size=1000)])
+        out = ad.leaky_relu(Tensor(x), slope).data
+        assert out.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, float("nan")])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(Tensor([1.0, -1.0]), slope)
+
 
 class TestReduce:
     def test_mean(self):

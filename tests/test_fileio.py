@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gmix import metrics, pipeline
+from gmix import cli, metrics, pipeline
 from gmix.checkpoint import save_checkpoint
 from gmix.config import parse_config_text
 from gmix.metrics import CSV_COLUMNS, MetricsReport
@@ -91,3 +91,34 @@ class TestManifest:
             pipeline.run(config, spec, out_dir=tmp_path)
         assert listing(tmp_path) == sorted(before)
         assert (tmp_path / "manifest.json").read_bytes() == before["manifest.json"]
+
+
+class TestExportEmbeddings:
+    def test_failed_export_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("run.steps = 2\nrun.eval_every = 1\n")
+        config, spec, _ = parse_config_text(config_path.read_text())
+        pipeline.run(config, spec, out_dir=tmp_path / "run")
+        tsv = tmp_path / "emb.tsv"
+        args = ["export-embeddings", str(config_path),
+                "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"), "--out", str(tsv)]
+        real_scores = cli.outlier_scores
+
+        def scores_failing_at_row_3(*a):
+            def rows():
+                yield from real_scores(*a)[:2]
+                raise OSError("disk full")
+            return rows()
+
+        monkeypatch.setattr(cli, "outlier_scores", scores_failing_at_row_3)
+        assert cli.main(args) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert listing(tmp_path) == ["run", "run.cfg"]
+
+        monkeypatch.setattr(cli, "outlier_scores", real_scores)
+        assert cli.main(args) == 0
+        before = tsv.read_bytes()
+        monkeypatch.setattr(cli, "outlier_scores", scores_failing_at_row_3)
+        assert cli.main(args) == 1
+        assert tsv.read_bytes() == before
+        assert listing(tmp_path) == ["emb.tsv", "run", "run.cfg"]

@@ -8,7 +8,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmix.autodiff import Parameter, Tape, Tensor, finite_diff_check, tsum
+from gmix.autodiff import (
+    BLOCK_ENTRIES,
+    NonFiniteError,
+    Parameter,
+    Tape,
+    Tensor,
+    backward,
+    exp,
+    finite_diff_check,
+    logsumexp,
+    powi,
+    reshape,
+    row_blocks,
+    tsum,
+)
 from gmix.heads import (
     AagmmHead,
     Backbone,
@@ -22,6 +36,21 @@ from gmix.heads import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def chain_log_joint(head, z, tape=None):
+    """The op-by-op log joint the fused primitive replaced: the reference."""
+    n, d = z.shape[0], head.latent_dim
+    mu = head.centers.use(tape)
+    if head.kind == "kmeans":
+        diff = reshape(z, (n, 1, d)) - mu
+        quad = tsum(powi(diff, 2), axis=2)
+        return (-0.5 * d * LOG_2PI) - 0.5 * quad
+    lv = head.log_var.use(tape)
+    diff = reshape(z, (n, 1, d)) - mu
+    quad = tsum(powi(diff, 2) * exp(-lv), axis=2)
+    log_det = tsum(lv, axis=1)
+    return (-0.5 * d * LOG_2PI) - 0.5 * log_det - 0.5 * quad
 
 
 def aagmm(centers, variances):
@@ -52,6 +81,12 @@ class TestLogJoint:
         head = aagmm([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(ValueError, match="width"):
             log_joint(head, [[0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    def test_method_rejects_a_width_that_would_broadcast(self, kind):
+        head = init_head(kind, 3, 2, seed=0)
+        with pytest.raises(ValueError, match="width 2"):
+            head.log_joint(Tensor(np.zeros((5, 1))))
 
     def test_linear_head_has_no_joint(self):
         head = init_head("linear", 3, 4, seed=0)
@@ -247,3 +282,79 @@ class TestGradients:
             return -(tsum(lc * Tensor(onehot), axis=1)).mean()
 
         assert finite_diff_check(fn, [head.centers, z]) < 1e-4
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestFusedLogJoint:
+    """``_mixture_log_joint`` against the op-by-op chain, bit for bit."""
+
+    DIM = 3
+
+    @staticmethod
+    def row_counts(classes, dim):
+        """0 rows, 1 row, and two full row blocks plus a remainder."""
+        spanning = 2 * (BLOCK_ENTRIES // (classes * dim)) + 7
+        assert len(row_blocks(spanning, classes * dim)) == 3
+        return [0, 1, spanning]
+
+    @staticmethod
+    def head(kind, seed, classes=4, dim=3):
+        head = init_head(kind, classes, dim, seed=seed)
+        if kind == "aagmm":
+            head.log_var.value[...] = np.random.default_rng(seed).uniform(-1.0, 1.0, (classes, dim))
+        return head
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    def test_untaped_forward_is_bitwise_equal(self, kind, rng):
+        head = self.head(kind, 3)
+        for n in self.row_counts(4, self.DIM):
+            z = Tensor(rng.normal(scale=2.0, size=(n, self.DIM)))
+            fused = head.log_joint(z)
+            assert fused.tape is None
+            assert bits(fused.data) == bits(chain_log_joint(head, z).data)
+
+    @staticmethod
+    def taped_grads(head, z_value, weights, log_joint_fn):
+        """Forward value and gradients of a loss mixing a weighted sum and a logsumexp."""
+        for p in head.parameters():
+            p.zero_grad()
+        z = Parameter(z_value)
+        tape = Tape()
+        lj = log_joint_fn(head, z.use(tape), tape)
+        loss = tsum(lj * Tensor(weights)) + tsum(logsumexp(lj, axis=1))
+        backward(loss)
+        return [lj.data, z.grad, *(p.grad.copy() for p in head.parameters())]
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    @pytest.mark.parametrize("classes", [4, 1])
+    def test_taped_forward_and_gradients_are_bitwise_equal(self, kind, classes, rng):
+        head = self.head(kind, 5, classes=classes)
+        for n in self.row_counts(classes, self.DIM):
+            z = rng.normal(scale=2.0, size=(n, self.DIM))
+            w = rng.normal(size=(n, classes))
+            fused = self.taped_grads(head, z, w, lambda h, t, tape: h.log_joint(t, tape))
+            chain = self.taped_grads(head, z, w, chain_log_joint)
+            assert len(fused) == (4 if kind == "aagmm" else 3)
+            for a, b in zip(fused, chain):
+                assert a.shape == b.shape
+                assert bits(a) == bits(b)
+
+    def test_one_tape_record_besides_the_leaves(self):
+        head = self.head("aagmm", 1)
+        tape = Tape()
+        head.log_joint(Tensor(np.zeros((2, self.DIM)), tape), tape)
+        assert len(tape) == 3  # centers leaf, log_var leaf, the primitive
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_non_finite_variance_raises(self, n):
+        head = AagmmHead(np.zeros((2, 2)), np.full((2, 2), -800.0))  # exp(800) overflows
+        with pytest.raises(NonFiniteError, match="log_joint"):
+            head.log_joint(Tensor(np.ones((n, 2))))
+
+    def test_far_point_raises(self):
+        head = KmeansHead(np.zeros((2, 2)))
+        with pytest.raises(NonFiniteError, match="log_joint"):
+            head.log_joint(Tensor(np.full((1, 2), 1e300)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gmix.autodiff import BLOCK_ENTRIES, row_blocks
 from gmix.heads import AagmmHead, KmeansHead
 from gmix.outlier import (
     OutlierGate,
@@ -24,6 +25,13 @@ def head_with(centers, variances):
 
 def one_cluster(center, variances):
     return head_with([center], [variances])
+
+
+def dense_scores(head, z, mode):
+    """The full (n, K, D) formula the row-blocked scores replaced: the reference."""
+    d2 = (((z[:, None, :] - head.centers.value[None]) ** 2) / head.variances()[None]).sum(axis=2)
+    dist = np.sqrt(d2)
+    return dist.max(axis=1) if mode == "max" else dist.min(axis=1)
 
 
 class TestMahalanobis:
@@ -81,6 +89,33 @@ class TestScore:
         z = rng.normal(size=(20, 4))
         expected = np.linalg.norm(z[:, None, :] - centers[None], axis=2).min(axis=1)
         np.testing.assert_allclose(scores(head, z, "min"), expected, atol=1e-12)
+
+
+class TestBlockedScores:
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_bitwise_equal_to_the_dense_formula(self, rng, kind, mode):
+        centers = rng.normal(size=(5, 4))
+        if kind == "aagmm":
+            head = head_with(centers, rng.uniform(0.3, 3.0, (5, 4)))
+        else:
+            head = KmeansHead(centers)
+        spanning = 2 * (BLOCK_ENTRIES // centers.size) + 11
+        assert len(row_blocks(spanning, centers.size)) == 3
+        for n in (0, 1, spanning):
+            z = rng.normal(scale=3.0, size=(n, 4))
+            assert scores(head, z, mode).tobytes() == dense_scores(head, z, mode).tobytes()
+
+    def test_wrong_width_is_rejected_not_broadcast(self):
+        head = head_with(np.zeros((3, 2)), np.ones((3, 2)))
+        gate = OutlierGate()
+        with pytest.raises(ValueError, match="width 2"):
+            scores(head, np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="width 2"):
+            fit_threshold(gate, np.zeros((5, 1)), head)
+        gate.tau = 1.0
+        with pytest.raises(ValueError, match="width 2"):
+            mask(gate, head, np.zeros((5, 3)))
 
 
 class TestFitThreshold:
