@@ -8,6 +8,12 @@ op's vector-Jacobian product. A reverse pass replays the records in exact
 reverse execution order, so a slot's gradient is fully accumulated before
 the record that produced it runs.
 
+The finiteness check sums the result first: a finite sum proves every
+element finite, since any NaN or infinity makes the sum non-finite. Only
+a non-finite sum is checked element by element, so a finite array whose
+sum overflows still passes (numpy warns about that overflow) and the
+check stays exact.
+
 A tape and the tensors it records form reference cycles, so their memory
 is returned only when the records are dropped: ``pipeline.train_step``
 calls :meth:`Tape.clear` once the reverse pass is done.
@@ -226,7 +232,8 @@ def _join_tape(*tensors: Tensor) -> Tape | None:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    # Exact, and one reduction on the common path: see the module docstring.
+    if not math.isfinite(data.sum()) and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -317,19 +324,26 @@ def div(a, b) -> Tensor:
     )
 
 
-def matmul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+def _matmul_data(a: Tensor, b: Tensor) -> np.ndarray:
+    """``a.data @ b.data`` for 2-D operands, checked finite."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(
             f"matmul: inner dimensions differ ({a.data.shape} @ {b.data.shape})"
         )
-    tape = _join_tape(a, b)
     data = a.data @ b.data
     _check_finite(data, "matmul")
-    return _result(data, tape, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+    return data
+
+
+def matmul(a, b) -> Tensor:
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    data = _matmul_data(a, b)
+    return _result(
+        data, _join_tape(a, b), (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)
+    )
 
 
 def _unary(op: str, a, fwd, dx) -> Tensor:

@@ -135,9 +135,8 @@ def _cmd_export_embeddings(args) -> int:
     config, data_spec, _ = parse_config(args.config)
     dataset, state = _load_state_for(config, data_spec, args.checkpoint)
     backbone, head = state.backbone, state.head
-    select = dataset.split == args.split
-    x = dataset.features[select]
-    y = dataset.labels[select]
+    x = getattr(dataset, f"{args.split}_x")
+    y = getattr(dataset, f"{args.split}_y")
     z = backbone.embed(Tensor(x)).data
     pred = np.argmax(head.class_log_scores(Tensor(z)).data, axis=1)
     if head.generative:
@@ -149,7 +148,7 @@ def _cmd_export_embeddings(args) -> int:
         f.write("\t".join([f"z{i}" for i in range(dim)] + ["label", "predicted", "score"]) + "\n")
         for row, label, p, s in zip(z, y, pred, score):
             f.write("\t".join([f"{v:.10g}" for v in row] + [str(int(label)), str(int(p)), f"{s:.10g}"]) + "\n")
-    print(f"wrote {select.sum()} rows to {args.out}")
+    print(f"wrote {x.shape[0]} rows to {args.out}")
     return 0
 
 

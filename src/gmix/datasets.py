@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class SyntheticSpec:
             raise ValueError("cluster_noise must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Generated samples with split membership and outlier ground truth.
 
@@ -81,6 +82,12 @@ class Dataset:
     augmentation operators use as their unit of perturbation.
     ``true_centers`` are the ambient images of the noise-free class
     centers (zeros for kinds without point centers, like two-moons).
+
+    The per-split arrays (``labeled_x`` and so on) are the rows whose
+    ``split`` is that split's name, selected on first access and kept,
+    read-only, for the life of the instance: the training loop samples
+    them every step. Change the data by building a new instance, for
+    example with ``dataclasses.replace``, never in place.
     """
 
     spec: SyntheticSpec
@@ -91,36 +98,38 @@ class Dataset:
     feature_scale: np.ndarray
     true_centers: np.ndarray
 
-    def _select(self, name: str) -> np.ndarray:
-        return self.split == name
+    def _select(self, values: np.ndarray, name: str) -> np.ndarray:
+        rows = values[self.split == name]
+        rows.setflags(write=False)
+        return rows
 
-    @property
+    @cached_property
     def labeled_x(self) -> np.ndarray:
-        return self.features[self._select("labeled")]
+        return self._select(self.features, "labeled")
 
-    @property
+    @cached_property
     def labeled_y(self) -> np.ndarray:
-        return self.labels[self._select("labeled")]
+        return self._select(self.labels, "labeled")
 
-    @property
+    @cached_property
     def unlabeled_x(self) -> np.ndarray:
-        return self.features[self._select("unlabeled")]
+        return self._select(self.features, "unlabeled")
 
-    @property
+    @cached_property
     def unlabeled_y(self) -> np.ndarray:
-        return self.labels[self._select("unlabeled")]
+        return self._select(self.labels, "unlabeled")
 
-    @property
+    @cached_property
     def unlabeled_outlier(self) -> np.ndarray:
-        return self.outlier[self._select("unlabeled")]
+        return self._select(self.outlier, "unlabeled")
 
-    @property
+    @cached_property
     def test_x(self) -> np.ndarray:
-        return self.features[self._select("test")]
+        return self._select(self.features, "test")
 
-    @property
+    @cached_property
     def test_y(self) -> np.ndarray:
-        return self.labels[self._select("test")]
+        return self._select(self.labels, "test")
 
 
 def _balanced_labels(count: int, n_classes: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tape, Tensor, finite_diff_check
 from . import autodiff as ad
-from .heads import init_head, log_conditional
+from .heads import LEAKY_SLOPE, _dense_layer, init_head, log_conditional
 from .moments import MomentSpec, mom_loss
 
 TOLERANCE = 1e-4
@@ -82,8 +82,8 @@ def _backbone_row(rng) -> CheckRow:
 
     def fn():
         tape = Tape()
-        h = ad.leaky_relu(Tensor(x) @ w1.use(tape) + b1.use(tape))
-        h = ad.leaky_relu(h @ w2.use(tape) + b2.use(tape))
+        h = _dense_layer(Tensor(x), w1.use(tape), b1.use(tape), LEAKY_SLOPE)
+        h = _dense_layer(h, w2.use(tape), b2.use(tape), LEAKY_SLOPE)
         return ((h @ w3.use(tape)) ** 2).mean()
 
     return CheckRow("perceptron", finite_diff_check(fn, [w1, b1, w2, b2, w3]))

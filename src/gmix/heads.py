@@ -12,6 +12,9 @@ one primitive, :func:`_mixture_log_joint`: one tape record with a
 hand-derived reverse pass, and a forward that works through the rows in
 blocks, so scoring a large pool never builds the full (n, K, D) residual
 array. Taped training, untaped scoring and evaluation all run it.
+Likewise each backbone layer, and the linear head, is one dense-layer
+primitive, :func:`_dense_layer`: matmul, bias add and rectifier in one
+tape record.
 """
 
 from __future__ import annotations
@@ -26,16 +29,18 @@ from .autodiff import (
     Tensor,
     _check_finite,
     _join_tape,
+    _matmul_data,
     _result,
     _unbroadcast,
     exp,
-    leaky_relu,
     logsumexp,
-    matmul,
     row_blocks,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Negative-side slope of the backbone's hidden-layer rectifier.
+LEAKY_SLOPE = 0.01
 
 HEAD_KINDS = ("linear", "kmeans", "aagmm")
 
@@ -70,10 +75,41 @@ class Backbone:
         h = x if isinstance(x, Tensor) else Tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = matmul(h, w.use(tape)) + b.use(tape)
-            if i < last:
-                h = leaky_relu(h)
+            h = _dense_layer(h, w.use(tape), b.use(tape), LEAKY_SLOPE if i < last else None)
         return h
+
+
+def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor:
+    """``leaky_relu(h @ w + b, slope)`` as one tape record; ``h @ w + b`` if slope is None.
+
+    The forward adds the bias into the matmul's result and rectifies it in
+    place. It keeps the op-by-op chain's arithmetic and its finiteness
+    checks, named ``matmul`` and ``add``; the rectifier cannot make a
+    finite value non-finite. For a slope in [0, 1] the output is positive
+    exactly where the sum was, so the hand-derived reverse pass masks by
+    the output where the chain masked by the sum: the sum's gradient is
+    ``g * where(out > 0, 1, slope)``. As in the chain, b gets its row sum,
+    w gets ``h.T @`` it and h gets it ``@ w.T``. A constant h, such as the
+    input features, gets no gradient.
+    """
+    data = _matmul_data(h, w)
+    np.add(data, b.data, out=data)
+    _check_finite(data, "add")
+    if slope is not None:
+        np.maximum(data, np.multiply(data, slope), out=data)
+
+    memo: dict = {}
+
+    def d_sum(g):
+        # The routes below share one rectifier gradient per reverse pass.
+        if memo.get("g") is not g:
+            memo.update(g=g, d=g if slope is None else g * np.where(data > 0.0, 1.0, slope))
+        return memo["d"]
+
+    routes = [(w, lambda g: h.data.T @ d_sum(g)), (b, lambda g: d_sum(g).sum(axis=0))]
+    if h.tape is not None:
+        routes.append((h, lambda g: d_sum(g) @ w.data.T))
+    return _result(data, _join_tape(h, w, b), *routes)
 
 
 class AagmmHead:
@@ -147,7 +183,7 @@ class LinearSoftmaxHead:
         return [self.weight, self.bias]
 
     def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        return matmul(z, self.weight.use(tape)) + self.bias.use(tape)
+        return _dense_layer(z, self.weight.use(tape), self.bias.use(tape), None)
 
 
 def log_joint(head, z, tape: Tape | None = None) -> Tensor:

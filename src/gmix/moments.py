@@ -290,23 +290,41 @@ class _Estimate(NamedTuple):
     active: np.ndarray     # (G,) groups with enough mass to estimate
 
 
-def _estimate(x: np.ndarray, w: np.ndarray, order: int) -> _Estimate:
-    """Per-multiset moments of (n, G, dim) samples under (n, G) weights.
+def _product_chain(x: np.ndarray, max_order: int) -> list[np.ndarray]:
+    """Per-multiset products of (n, G, dim) samples, one level per order 0..max_order.
 
-    The products are built order by order: the multisets of order k whose
+    Level k has shape (n, G, C(dim+k-1, k)), in :func:`multiset_tuples`
+    order. It is built from level k-1: the multisets of order k whose
     largest index is d are the first C(d+k-1, k-1) multisets of order k-1,
     each extended by axis d. Each product is thus formed left to right in
     index order, as the dense outer-product chain formed it.
     """
     n, groups, dim = x.shape
-    prod = np.ones((n, groups, 1))  # the empty multiset
-    for k in range(1, order + 1):
-        lower, prod = prod, np.empty((n, groups, math.comb(dim + k - 1, k)))
-        start = 0
-        for d in range(dim):
-            count = math.comb(d + k - 1, k - 1)
-            np.multiply(lower[:, :, :count], x[:, :, d:d + 1], out=prod[:, :, start:start + count])
-            start += count
+    levels = [np.ones((n, groups, 1))]  # the empty multiset
+    with np.errstate(all="ignore"):  # overflow surfaces in the discrepancy's check
+        for k in range(1, max_order + 1):
+            lower = levels[-1]
+            prod = np.empty((n, groups, math.comb(dim + k - 1, k)))
+            start = 0
+            for d in range(dim):
+                count = math.comb(d + k - 1, k - 1)
+                np.multiply(lower[:, :, :count], x[:, :, d:d + 1],
+                            out=prod[:, :, start:start + count])
+                start += count
+            levels.append(prod)
+    return levels
+
+
+def _estimate(x: np.ndarray, w: np.ndarray, order: int,
+              chain: list[np.ndarray] | None = None) -> _Estimate:
+    """Per-multiset moments of (n, G, dim) samples under (n, G) weights.
+
+    ``chain`` is ``_product_chain(x, q)`` for some q >= order; without it
+    the products are built here.
+    """
+    if chain is None:
+        chain = _product_chain(x, order)
+    lower, prod = chain[order - 1], chain[order]
     mass = w.sum(axis=0)
     active = mass >= _MIN_CLUSTER_MASS
     if not active.any():
@@ -316,13 +334,16 @@ def _estimate(x: np.ndarray, w: np.ndarray, order: int) -> _Estimate:
     return _Estimate(lower, prod, moments, safe_mass, active)
 
 
-def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
+def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int,
+                       chain: list[np.ndarray] | None = None):
     """Weighted order-p moment discrepancy of each population, one tape record.
 
     ``pops`` (n, G, dim) are the centered samples and ``weights`` (n, G)
-    their responsibilities (None means unit weights). The moment of each
-    index multiset is the weighted mean of its product; the discrepancy
-    sums coef * (moment - target)**2 over the multisets. Returns
+    their responsibilities (None means unit weights). ``chain`` is
+    ``_product_chain(pops.data, q)`` for some q >= order, so the orders of
+    one loss share one chain; without it, the call builds its own. The
+    moment of each index multiset is the weighted mean of its product; the
+    discrepancy sums coef * (moment - target)**2 over the multisets. Returns
     ``(per_group, active)``: a (G,) tensor with starved populations masked
     to zero, and the mask of the survivors the caller averages over.
 
@@ -340,7 +361,7 @@ def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
     table = multisets(order, dim)
     w = np.ones((n, groups)) if weights is None else weights.data
     with np.errstate(all="ignore"):
-        est = _estimate(pops.data, w, order)
+        est = _estimate(pops.data, w, order, chain)
         diff = est.moments - table.target
         per_group = (diff * diff * table.coef).sum(axis=1)
     _check_finite(per_group, f"mom_p{order}")
@@ -386,16 +407,21 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
     per_order: dict[int, Tensor] = {}
     total = None
+    chain = None  # the populations' products, built once for every order
     for order in range(1, spec.max_order + 1):
         lam = spec.order_weights[order - 1]
         if spec.mode == "global" and order == 1:
             # The centered data's first moment is identically zero; the
             # meaningful first-order statistic is the removed mean itself.
             dim = batch.mean_offset.shape[0]
-            pops, weights = reshape(batch.mean_offset, (1, 1, dim)), None
+            offset = reshape(batch.mean_offset, (1, 1, dim))
+            per_group, active = moment_discrepancy(offset, None, order)
         else:
-            pops, weights = batch.populations, batch.weights
-        per_group, active = moment_discrepancy(pops, weights, order)
+            if chain is None:
+                chain = _product_chain(batch.populations.data, spec.max_order)
+            per_group, active = moment_discrepancy(
+                batch.populations, batch.weights, order, chain
+            )
         term = lam * (tsum(per_group) / float(active.sum()))
         per_order[order] = term
         total = term if total is None else total + term

@@ -193,7 +193,7 @@ def init_state(config: RunConfig, dataset: Dataset) -> TrainState:
     ema = None
     if config.ema_decay > 0:
         ema = {p.name: p.value.copy() for p in params}
-    n_unlabeled = int((dataset.split == "unlabeled").sum())
+    n_unlabeled = dataset.unlabeled_y.shape[0]  # selects labels only, no feature rows
     return TrainState(
         backbone=backbone,
         head=head,

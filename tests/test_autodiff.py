@@ -256,6 +256,33 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError, match="exp"):
             ad.exp(Tensor([1e4]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("data", [
+        [1e308, 1e308],  # finite entries whose sum overflows
+        [-1e308, -1e308, 1.0],
+        np.float64(2.0),
+        np.array(-3.5),
+        np.zeros(0),
+        np.zeros((0, 4)),
+    ], ids=repr)
+    def test_finite_check_passes_every_finite_array(self, data):
+        ad._check_finite(np.asarray(data), "op")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("data", [
+        [math.nan],
+        [math.inf],
+        [-math.inf],
+        [math.inf, -math.inf],  # the sum is NaN
+        [1.0, 2.0, math.nan, 4.0],
+        [[1.0, 2.0], [0.0, math.inf]],
+        np.array(math.nan),
+        np.array(-math.inf),
+    ], ids=repr)
+    def test_finite_check_rejects_any_non_finite_entry(self, data):
+        with pytest.raises(NonFiniteError, match="op produced a non-finite value"):
+            ad._check_finite(np.asarray(data, dtype=np.float64), "op")
+
 
 class TestClipGlobalNorm:
     def test_three_four_five(self):

@@ -1,6 +1,8 @@
 """Generator contracts: determinism, split hygiene, outlier injection,
 augmentation statistics, and CSV round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,8 +147,6 @@ class TestSeparability:
     def test_fully_supervised_on_all_labels_exceeds_98_percent(self):
         """The default warped mixture is separable: with every training
         label revealed, a plain supervised run clears 98% test accuracy."""
-        import dataclasses
-
         from gmix.moments import MomentSpec
         from gmix.pipeline import (
             RunConfig,
@@ -170,6 +170,48 @@ class TestSeparability:
             train_step(state, sample_labeled(ds_full, state.rng, config), None, config)
         accuracy = evaluate(state, ds.test_x, ds.test_y).accuracy
         assert accuracy >= 0.98
+
+
+SPLIT_ARRAYS = [
+    ("labeled_x", "features", "labeled"),
+    ("labeled_y", "labels", "labeled"),
+    ("unlabeled_x", "features", "unlabeled"),
+    ("unlabeled_y", "labels", "unlabeled"),
+    ("unlabeled_outlier", "outlier", "unlabeled"),
+    ("test_x", "features", "test"),
+    ("test_y", "labels", "test"),
+]
+
+
+class TestSplitCache:
+    SPEC = SyntheticSpec(n_unlabeled=300, n_test=60, outlier_frac=0.1, seed=4,
+                         n_classes=3, labels_per_class=2)
+
+    @pytest.fixture(params=["generate", "load_csv"])
+    def dataset(self, request, tmp_path):
+        ds = generate(self.SPEC)
+        if request.param == "load_csv":
+            save_csv(ds, tmp_path / "data.csv")
+            ds = load_csv(tmp_path / "data.csv")
+        return ds
+
+    @pytest.mark.parametrize("attr, column, name", SPLIT_ARRAYS)
+    def test_each_split_is_its_masked_rows(self, dataset, attr, column, name):
+        rows = getattr(dataset, attr)
+        expected = getattr(dataset, column)[dataset.split == name]
+        assert rows.dtype == expected.dtype
+        np.testing.assert_array_equal(rows, expected)
+        assert getattr(dataset, attr) is rows  # selected once, then kept
+
+    @pytest.mark.parametrize("attr", [a for a, _, _ in SPLIT_ARRAYS])
+    def test_split_arrays_are_read_only(self, dataset, attr):
+        rows = getattr(dataset, attr)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[-1]
+
+    def test_fields_cannot_be_reassigned(self, dataset):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dataset.split = np.full(dataset.split.shape, "test")
 
 
 class TestCsvRoundtrip:

@@ -17,16 +17,20 @@ from gmix.autodiff import (
     backward,
     exp,
     finite_diff_check,
+    leaky_relu,
     logsumexp,
+    matmul,
     powi,
     reshape,
     row_blocks,
     tsum,
 )
 from gmix.heads import (
+    LEAKY_SLOPE,
     AagmmHead,
     Backbone,
     KmeansHead,
+    _dense_layer,
     conditional,
     init_head,
     log_conditional,
@@ -358,3 +362,103 @@ class TestFusedLogJoint:
         head = KmeansHead(np.zeros((2, 2)))
         with pytest.raises(NonFiniteError, match="log_joint"):
             head.log_joint(Tensor(np.full((1, 2), 1e300)))
+
+
+def chain_dense(h, w, b, slope):
+    """The op-by-op dense layer the fused primitive replaced."""
+    out = matmul(h, w) + b
+    return out if slope is None else leaky_relu(out, slope)
+
+
+def chain_embed(backbone, x, tape=None):
+    h = Tensor(x)
+    last = len(backbone.weights) - 1
+    for i, (w, b) in enumerate(zip(backbone.weights, backbone.biases)):
+        h = chain_dense(h, w.use(tape), b.use(tape), LEAKY_SLOPE if i < last else None)
+    return h
+
+
+class TestFusedDense:
+    """``_dense_layer`` against the op-by-op chain, bit for bit."""
+
+    @staticmethod
+    def inputs(rng, n, fan_in=16, fan_out=64):
+        x = rng.normal(size=(n, fan_in))
+        b = rng.normal(scale=0.5, size=fan_out)
+        if n:
+            x[0] = 0.0  # a row whose pre-activation is the bias alone
+            b[:3] = [0.0, -0.0, 1e-300]
+        return x, rng.normal(size=(fan_in, fan_out)), b
+
+    @staticmethod
+    def taped(dense_fn, x, w, b, slope, g):
+        """Forward value and x/w/b gradients of sum(out * g)."""
+        params = [Parameter(x), Parameter(w), Parameter(b)]
+        tape = Tape()
+        out = dense_fn(*(p.use(tape) for p in params), slope)
+        backward(tsum(out * Tensor(g)))
+        return [out.data] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("slope", [LEAKY_SLOPE, None, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 20_000])
+    def test_untaped_forward_is_bitwise_equal(self, slope, n, rng):
+        x, w, b = self.inputs(rng, n)
+        fused = _dense_layer(Tensor(x), Tensor(w), Tensor(b), slope)
+        assert fused.tape is None
+        assert bits(fused.data) == bits(chain_dense(Tensor(x), Tensor(w), Tensor(b), slope).data)
+
+    @pytest.mark.parametrize("slope", [LEAKY_SLOPE, None, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 20_000])
+    def test_taped_forward_and_gradients_are_bitwise_equal(self, slope, n, rng):
+        x, w, b = self.inputs(rng, n)
+        g = rng.normal(size=(n, w.shape[1]))
+        fused = self.taped(_dense_layer, x, w, b, slope, g)
+        chain = self.taped(chain_dense, x, w, b, slope, g)
+        for a, c in zip(fused, chain):
+            assert a.shape == c.shape
+            assert bits(a) == bits(c)
+
+    def test_embed_equals_the_chain_with_every_parameter_gradient(self, rng):
+        backbone = Backbone(16, 8, seed=3)
+        x = rng.normal(size=(20, 16))
+        g = rng.normal(size=(20, 8))
+        results = []
+        for embed in (backbone.embed, lambda x, tape: chain_embed(backbone, x, tape)):
+            for p in backbone.parameters():
+                p.zero_grad()
+            tape = Tape()
+            z = embed(x, tape)
+            backward(tsum(z * Tensor(g)))
+            results.append([z.data] + [p.grad.copy() for p in backbone.parameters()])
+        for a, c in zip(*results):
+            assert bits(a) == bits(c)
+
+    def test_three_records_per_layer(self):
+        # Two parameter leaves and the primitive, for each of the 3 layers.
+        tape = Tape()
+        Backbone(16, 8, seed=0).embed(np.zeros((2, 16)), tape)
+        assert len(tape) == 9
+
+    def test_constant_input_gets_no_gradient(self, rng):
+        x, w, b = self.inputs(rng, 4)
+        tape = Tape()
+        h = Tensor(x)
+        out = _dense_layer(h, Parameter(w).use(tape), Parameter(b).use(tape), LEAKY_SLOPE)
+        backward(tsum(out))
+        assert h.grad is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matmul_overflow_names_matmul(self):
+        with pytest.raises(NonFiniteError, match="matmul produced"):
+            _dense_layer(Tensor(np.full((1, 2), 1e200)), Tensor(np.full((2, 3), 1e200)),
+                         Tensor(np.zeros(3)), LEAKY_SLOPE)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bias_overflow_names_add(self):
+        with pytest.raises(NonFiniteError, match="add produced"):
+            _dense_layer(Tensor(np.full((1, 1), 1e308)), Tensor(np.ones((1, 2))),
+                         Tensor(np.full(2, 1e308)), None)
+
+    def test_wrong_width_raises(self):
+        with pytest.raises(ValueError, match="inner dimensions"):
+            Backbone(16, 8, seed=0).embed(np.zeros((2, 15)))

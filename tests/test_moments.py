@@ -563,6 +563,39 @@ class TestMultisetPrimitive:
         for p in per:
             assert per[p].item() == pytest.approx(ref_per[p], rel=1e-12)
 
+    @pytest.mark.parametrize("mode, kind", [
+        ("global", None),
+        ("per-cluster-soft", "aagmm"),
+    ])
+    def test_shared_chain_equals_one_chain_per_order_bitwise(self, mode, kind, rng):
+        # mom_loss builds the product chain once for all orders; each order
+        # building its own chain, as a lone moment_discrepancy call does,
+        # gives the same bits in the loss, the terms and every gradient.
+        def per_order_chain_loss(z, spec, head=None, sample_mask=None):
+            batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
+            per_order, total = {}, None
+            for order in range(1, spec.max_order + 1):
+                pops, weights = batch.populations, batch.weights
+                if spec.mode == "global" and order == 1:
+                    pops, weights = reshape(batch.mean_offset, (1, 1, pops.shape[2])), None
+                per_group, active = moment_discrepancy(pops, weights, order)
+                term = spec.order_weights[order - 1] * (tsum(per_group) / float(active.sum()))
+                per_order[order] = term
+                total = term if total is None else total + term
+            return total, per_order
+
+        dim = 5
+        z = rng.normal(size=(30, dim))
+        head = init_head(kind, 3, dim, seed=2) if kind else None
+        mask = np.ones(30, dtype=bool)
+        mask[[4, 9]] = False
+        spec = MomentSpec(max_order=4, mode=mode)
+        shared = loss_and_grads(mom_loss, z, spec, head, mask)
+        separate = loss_and_grads(per_order_chain_loss, z, spec, head, mask)
+        assert shared[:2] == separate[:2]
+        for g, ref in zip(shared[2], separate[2]):
+            assert g.tobytes() == ref.tobytes()
+
     def test_non_finite_moment_faults_with_the_order_named(self):
         pops = Tensor(np.full((4, 1, 2), 1e90))
         with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):

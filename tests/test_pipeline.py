@@ -229,7 +229,7 @@ class TestStepMechanics:
 
 
 class TestTape:
-    @pytest.mark.parametrize("overrides, records", [("", 83), ("mom.orders = 4\n", 98)])
+    @pytest.mark.parametrize("overrides, records", [("", 68), ("mom.orders = 4\n", 83)])
     def test_records_per_step_are_pinned(self, monkeypatch, overrides, records):
         # One record per op: a refactor that adds or drops a record changes
         # these counts, which are also the benchmark's tape_records counter.
