@@ -246,10 +246,12 @@ def _result(data: np.ndarray, tape: Tape | None, *routes) -> Tensor:
 
     Each route is an ``(operand, vjp)`` pair: the recorded closure passes
     the output gradient through ``vjp`` into ``operand``, pair by pair in
-    the order given.
+    the order given. Routes into constants, operands without a tape, are
+    dropped: nothing reads their gradient.
     """
     out = Tensor(data, tape)
     if tape is not None:
+        routes = [route for route in routes if route[0].tape is not None]
 
         def backward_fn() -> None:
             g = out.grad

@@ -9,12 +9,23 @@ cluster center.
 
 Both mixture heads evaluate their per-class log joint density through
 one primitive, :func:`_mixture_log_joint`: one tape record with a
-hand-derived reverse pass, and a forward that works through the rows in
-blocks, so scoring a large pool never builds the full (n, K, D) residual
-array. Taped training, untaped scoring and evaluation all run it.
+hand-derived reverse pass. Taped training, untaped scoring and
+evaluation all run it. Its forward, like the outlier gate's scores, takes
+the weighted squared distances from :func:`squared_distance_blocks`:
+
+- Layout: each row block of about ``autodiff.BLOCK_ENTRIES`` entries is
+  laid out dimension-major, (D, K, rows), in one reused buffer, so every
+  subtract, square and weighting is a long loop along the rows rather
+  than K * rows loops of length D. A large pool never builds its full
+  (n, K, D) residuals.
+- Summation order: the sum over D repeats numpy's pairwise order for a
+  contiguous axis (:func:`_pairwise_sum0`), so each distance equals the
+  row-major ``.sum(axis=2)`` bit for bit.
+
 Likewise each backbone layer, and the linear head, is one dense-layer
 primitive, :func:`_dense_layer`: matmul, bias add and rectifier in one
-tape record.
+tape record. An untaped :meth:`Backbone.embed` runs the whole layer stack
+one row block at a time, so its intermediates stay in cache.
 """
 
 from __future__ import annotations
@@ -72,11 +83,37 @@ class Backbone:
         return params
 
     def embed(self, x, tape: Tape | None = None) -> Tensor:
+        """The latent embedding of each row of ``x``, shape (n, latent_dim).
+
+        A taped call runs the layers once over all rows. An untaped one
+        runs the whole layer stack one row block at a time, sized for the
+        widest layer, and writes each block into one output, so no
+        full-size intermediate leaves the cache; each row's value does not
+        depend on the blocking.
+        """
         h = x if isinstance(x, Tensor) else Tensor(x)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = _dense_layer(h, w.use(tape), b.use(tape), LEAKY_SLOPE if i < last else None)
-        return h
+        layers = [(w.use(tape), b.use(tape), LEAKY_SLOPE if i < last else None)
+                  for i, (w, b) in enumerate(zip(self.weights, self.biases))]
+        blocks = [(0, None)]
+        if tape is None and h.tape is None and h.ndim == 2:
+            blocks = row_blocks(h.shape[0], max(w.shape[1] for w in self.weights)) or blocks
+            if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] == 1:
+                # numpy multiplies a lone row by BLAS's matrix-vector routine,
+                # which rounds differently from the matrix product; keep it in
+                # the block before.
+                blocks[-2:] = [(blocks[-2][0], blocks[-1][1])]
+        out = None
+        for lo, hi in blocks:
+            z = h if len(blocks) == 1 else Tensor(h.data[lo:hi])
+            for w, b, slope in layers:
+                z = _dense_layer(z, w, b, slope)
+            if len(blocks) == 1:
+                return z
+            if out is None:
+                out = np.empty((h.shape[0], z.shape[1]))
+            out[lo:hi] = z.data
+        return Tensor(out)
 
 
 def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor:
@@ -89,8 +126,7 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
     exactly where the sum was, so the hand-derived reverse pass masks by
     the output where the chain masked by the sum: the sum's gradient is
     ``g * where(out > 0, 1, slope)``. As in the chain, b gets its row sum,
-    w gets ``h.T @`` it and h gets it ``@ w.T``. A constant h, such as the
-    input features, gets no gradient.
+    w gets ``h.T @`` it and h gets it ``@ w.T``.
     """
     data = _matmul_data(h, w)
     np.add(data, b.data, out=data)
@@ -106,10 +142,10 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
             memo.update(g=g, d=g if slope is None else g * np.where(data > 0.0, 1.0, slope))
         return memo["d"]
 
-    routes = [(w, lambda g: h.data.T @ d_sum(g)), (b, lambda g: d_sum(g).sum(axis=0))]
-    if h.tape is not None:
-        routes.append((h, lambda g: d_sum(g) @ w.data.T))
-    return _result(data, _join_tape(h, w, b), *routes)
+    return _result(data, _join_tape(h, w, b),
+                   (w, lambda g: h.data.T @ d_sum(g)),
+                   (b, lambda g: d_sum(g).sum(axis=0)),
+                   (h, lambda g: d_sum(g) @ w.data.T))
 
 
 class AagmmHead:
@@ -222,21 +258,65 @@ def _check_width(width: int, z) -> None:
         raise ValueError(f"expected embeddings of width {width}, got shape {z.shape}")
 
 
-def squared_residual_blocks(z: np.ndarray, centers: np.ndarray):
-    """Yield ``(lo, hi, sq)`` with ``sq[i - lo, k] = (z[i] - centers[k]) ** 2``.
+def squared_distance_blocks(z: np.ndarray, centers: np.ndarray, weights=None,
+                            weigh=np.multiply):
+    """Yield ``(lo, hi, quad)``, the weighted squared distances of rows lo..hi.
 
-    The rows come in blocks of about ``autodiff.BLOCK_ENTRIES`` entries,
-    all written into one reused (rows, K, D) buffer: consume a block before
-    asking for the next. Each row's values do not depend on the blocking.
+    ``quad[k, i - lo]`` is the sum over d of ``weigh((z[i, d] - centers[k, d])
+    ** 2, weights[k, d])``, or of the bare squares when ``weights`` is None.
+    The rows come in blocks of about ``autodiff.BLOCK_ENTRIES`` entries.
+    Each block is laid out dimension-major in one reused (D, K, rows)
+    buffer, so every subtract, square and weighting runs along the rows,
+    and :func:`_pairwise_sum0` sums over D in numpy's order: each value
+    equals the row-major ``(z[:, None] - centers) ** 2 ... .sum(axis=2)``
+    bit for bit. ``quad`` lives in the buffer: consume a block, in place if
+    need be, before asking for the next.
     """
     _check_width(centers.shape[1], z)
+    k, d = centers.shape
     blocks = row_blocks(z.shape[0], centers.size)
-    buf = np.empty((blocks[0][1] if blocks else 0, *centers.shape))
+    buf = np.empty((d, k, blocks[0][1] if blocks else 0))
+    centers_t = centers.T[:, :, None]
+    weights_t = None if weights is None else weights.T[:, :, None]
     for lo, hi in blocks:
-        sq = buf[:hi - lo]
-        np.subtract(z[lo:hi, None, :], centers, out=sq)
+        sq = buf[:, :, :hi - lo]
+        np.subtract(np.ascontiguousarray(z[lo:hi].T)[:, None, :], centers_t, out=sq)
         np.square(sq, out=sq)
-        yield lo, hi, sq
+        if weights_t is not None:
+            weigh(sq, weights_t, out=sq)
+        yield lo, hi, _pairwise_sum0(sq)
+
+
+def _pairwise_sum0(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 into ``a[0]``, in place, adding as numpy's reduce does.
+
+    numpy sums a contiguous axis of n terms pairwise: a left fold below 8
+    terms; up to 128, eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder folded in;
+    above 128, the two halves (the first a multiple of 8 long) summed alike
+    and added. Its reduction starts from the identity +0.0, which only turns
+    an all -0.0 sum into +0.0. Doing the same here, each add a whole (K,
+    rows) slice, gives ``a.sum(axis=0)`` of the same values laid out with
+    that axis last, bit for bit.
+    """
+    n = a.shape[0]
+    if n < 8:
+        for i in range(1, n):
+            np.add(a[0], a[i], out=a[0])
+    elif n <= 128:
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            np.add(a[:8], a[i:i + 8], out=a[:8])
+        np.add(a[0:8:2], a[1:8:2], out=a[0:8:2])
+        np.add(a[0:8:4], a[2:8:4], out=a[0:8:4])
+        np.add(a[0], a[4], out=a[0])
+        for i in range(tail, n):
+            np.add(a[0], a[i], out=a[0])
+    else:
+        half = n // 2 - n // 2 % 8
+        np.add(_pairwise_sum0(a[:half]), _pairwise_sum0(a[half:]), out=a[0])
+        return a[0]
+    return np.add(a[0], 0.0, out=a[0])
 
 
 def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
@@ -245,8 +325,10 @@ def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
     ``lv`` holds the log variances; None means unit variances (KMeans).
     One tape record. The forward is the elementwise chain
     ``const - 0.5 * sum(lv) - 0.5 * sum((z - mu)**2 * exp(-lv))`` in that
-    order, per row block. The reverse pass is hand-derived and repeats the
-    arithmetic the op-by-op chain did, so both give the same bits:
+    order, per row block of :func:`squared_distance_blocks`, written
+    through the transposed view of the result. The reverse pass is
+    hand-derived and repeats the arithmetic the op-by-op chain did, so both
+    give the same bits:
 
     - quad gets -g * 0.5, spread over D;
     - diff gets (quad's gradient * exp(-lv)) * (2 * diff);
@@ -265,12 +347,10 @@ def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
             _check_finite(inv_var, "log_joint")
             _check_finite(base, "log_joint")
         data = np.empty((z.shape[0], k))
-        for lo, hi, sq in squared_residual_blocks(z.data, mu.data):
-            if inv_var is not None:
-                np.multiply(sq, inv_var, out=sq)
-            quad = sq.sum(axis=2)
+        base_t = np.reshape(base, (-1, 1))
+        for lo, hi, quad in squared_distance_blocks(z.data, mu.data, inv_var):
             np.multiply(0.5, quad, out=quad)
-            np.subtract(base, quad, out=data[lo:hi])
+            np.subtract(base_t, quad, out=data[lo:hi].T)
     # Every intermediate feeds the result through +, *, exp or sum, so the
     # result is finite exactly when each step of the chain was.
     _check_finite(data, "log_joint")
@@ -319,19 +399,3 @@ def init_head(kind: str, n_classes: int, latent_dim: int, seed=0):
         weight = rng.standard_normal((latent_dim, n_classes)) / math.sqrt(latent_dim)
         return LinearSoftmaxHead(weight, np.zeros(n_classes))
     raise ValueError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
-
-
-def sigmoid_equivalence_params(mu_a: float, mu_b: float, sigma: float) -> tuple[float, float]:
-    """Slope and intercept making sigmoid(m*x + b) equal the two-cluster conditional.
-
-    For two equal-variance 1-D Gaussians, the log density ratio is
-    affine in x: (mu_a - mu_b)/sigma^2 * x + (mu_b^2 - mu_a^2)/(2 sigma^2).
-    The intercept is taken from this derivation so the reproduction of
-    the conditional is exact.
-    """
-    if sigma == 0.0:
-        raise ValueError("sigma must be nonzero")
-    var = sigma * sigma
-    m = (mu_a - mu_b) / var
-    b = (mu_b * mu_b - mu_a * mu_a) / (2.0 * var)
-    return m, b

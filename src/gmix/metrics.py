@@ -1,9 +1,8 @@
 """Evaluation quantities and the per-run metrics table.
 
-Empty-set conventions keep early-training rows well-defined: predicting
-no outliers yields precision 1, and keeping no pseudo-labels yields
-accuracy 1 (there is nothing to be wrong about yet). The CSV schema is
-documented in the README.
+Empty-set conventions keep early-training rows well-defined: keeping no
+pseudo-labels yields accuracy 1 (there is nothing to be wrong about yet).
+The CSV schema is documented in the README.
 """
 
 from __future__ import annotations
@@ -77,18 +76,6 @@ def compactness(z: np.ndarray, assignments: np.ndarray, centers: np.ndarray) -> 
     if assignments.min() < 0 or assignments.max() >= centers.shape[0]:
         raise ValueError("assignments out of range")
     return float(np.linalg.norm(z - centers[assignments], axis=1).mean())
-
-
-def outlier_pr(flags_true, flags_pred) -> tuple[float, float]:
-    """Standard precision/recall with the (1, 1) empty-set convention."""
-    t = np.asarray(flags_true, dtype=bool)
-    p = np.asarray(flags_pred, dtype=bool)
-    if t.shape != p.shape:
-        raise ValueError("flag vectors differ in length")
-    hits = int((t & p).sum())
-    precision = hits / int(p.sum()) if p.any() else 1.0
-    recall = hits / int(t.sum()) if t.any() else 1.0
-    return precision, recall
 
 
 def pseudo_quality(kept, pseudo_labels, true_labels) -> tuple[float, float]:

@@ -5,8 +5,14 @@ A sample's score aggregates its Mahalanobis distances to every cluster
 close). The threshold is the nearest-rank percentile of scores over the
 labeled population, so at the default 90th percentile at most 10% of
 labeled samples can ever be flagged. Scoring is detached from training:
-everything here is plain numpy on frozen head parameters, computed in row
-blocks so that a large pool never builds its full (n, K, D) residuals.
+everything here is plain numpy on frozen head parameters.
+
+Scores take the squared distances from ``heads.squared_distance_blocks``:
+row blocks laid out dimension-major, (D, K, rows), in one reused buffer,
+summed over D in numpy's pairwise order. The max or min over clusters is
+taken before the square root, which is monotone, so each row needs one
+root. Every score equals the dense formula's bit for bit, and a large pool
+never builds its full (n, K, D) residuals.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heads import squared_residual_blocks
+from .heads import squared_distance_blocks
 
 GATE_MODES = ("max", "min")
 
@@ -60,13 +66,13 @@ def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
     variances = head.variances()
     if np.any(variances <= 0.0):
         raise ValueError("variances must be strictly positive")
-    aggregate = np.max if mode == "max" else np.min
+    aggregate = np.maximum.reduce if mode == "max" else np.minimum.reduce
     out = np.empty(z.shape[0])
-    for lo, hi, sq in squared_residual_blocks(z, head.centers.value):
-        np.divide(sq, variances, out=sq)
-        dist = sq.sum(axis=2)
-        np.sqrt(dist, out=dist)
-        aggregate(dist, axis=1, out=out[lo:hi])
+    for lo, hi, quad in squared_distance_blocks(z, head.centers.value, variances, np.divide):
+        aggregate(quad, axis=0, out=out[lo:hi])
+    # sqrt is monotone, so the root of the extreme squared distance is the
+    # extreme distance: one root per row instead of one per cluster.
+    np.sqrt(out, out=out)
     return out
 
 

@@ -18,8 +18,7 @@ import pytest
 from gmix.autodiff import Tensor
 from gmix.datasets import SyntheticSpec, generate
 from gmix.gradcheck import format_table, run_suite
-from gmix.heads import AagmmHead, KmeansHead, conditional, log_joint, sigmoid_equivalence_params
-from gmix.metrics import outlier_pr
+from gmix.heads import AagmmHead, KmeansHead, conditional, log_joint
 from gmix.moments import (
     MomentSpec,
     class_size,
@@ -32,6 +31,8 @@ from gmix.moments import (
 )
 from gmix.outlier import fit_threshold, mask, nearest_rank_percentile
 from gmix.pipeline import GateConfig, RunConfig, run
+from test_heads import sigmoid_equivalence_params
+from test_metrics import outlier_pr
 
 # Frozen from scripts/mom_bound_oracle.py (20 repeats, n=50000, dim=8,
 # orders 1-2, global mode): mean 4.978e-05, sd 1.332e-05.

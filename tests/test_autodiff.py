@@ -246,6 +246,16 @@ class TestBackward:
         combo = grad_of(2.5, -1.25)
         np.testing.assert_allclose(combo, 2.5 * g1 - 1.25 * g2, atol=1e-10)
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_constant_operand_gets_no_gradient(self, op, constant_first, rng):
+        tape, p, t = taped(rng.uniform(1.0, 2.0, (3, 3)))
+        c = Tensor(rng.uniform(1.0, 2.0, (3, 3)))
+        out = op(c, t) if constant_first else op(t, c)
+        backward(out.sum())
+        assert c.grad is None
+        assert t.grad is not None and p.grad.any()
+
 
 class TestNonFinite:
     def test_div_by_zero_faults_with_op_name(self):

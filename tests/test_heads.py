@@ -31,15 +31,31 @@ from gmix.heads import (
     Backbone,
     KmeansHead,
     _dense_layer,
+    _pairwise_sum0,
     conditional,
     init_head,
     log_conditional,
     log_joint,
     log_prior,
-    sigmoid_equivalence_params,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def sigmoid_equivalence_params(mu_a: float, mu_b: float, sigma: float) -> tuple[float, float]:
+    """Slope and intercept making sigmoid(m*x + b) equal the two-cluster conditional.
+
+    For two equal-variance 1-D Gaussians, the log density ratio is
+    affine in x: (mu_a - mu_b)/sigma^2 * x + (mu_b^2 - mu_a^2)/(2 sigma^2).
+    The intercept is taken from this derivation so the reproduction of
+    the conditional is exact.
+    """
+    if sigma == 0.0:
+        raise ValueError("sigma must be nonzero")
+    var = sigma * sigma
+    m = (mu_a - mu_b) / var
+    b = (mu_b * mu_b - mu_a * mu_a) / (2.0 * var)
+    return m, b
 
 
 def chain_log_joint(head, z, tape=None):
@@ -117,7 +133,9 @@ class TestLogPrior:
         head = aagmm([[-2.0], [0.5], [3.0]], [[0.8], [1.3], [1.0]])
         grid = np.linspace(-14.0, 14.0, 28001)
         dens = np.exp(log_prior(head, grid[:, None]).data)
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
+        # The trapezoid rule, written out: np.trapezoid needs numpy 2.
+        area = 0.5 * np.sum((dens[1:] + dens[:-1]) * np.diff(grid))
+        assert area == pytest.approx(1.0, abs=1e-3)
 
 
 class TestConditional:
@@ -320,6 +338,16 @@ class TestFusedLogJoint:
             assert fused.tape is None
             assert bits(fused.data) == bits(chain_log_joint(head, z).data)
 
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 16])
+    @pytest.mark.parametrize("classes", [1, 4, 8])
+    def test_untaped_forward_is_bitwise_equal_across_widths_and_class_counts(
+            self, kind, dim, classes, rng):
+        head = self.head(kind, 3, classes=classes, dim=dim)
+        for n in self.row_counts(classes, dim):
+            z = Tensor(rng.normal(scale=2.0, size=(n, dim)))
+            assert bits(head.log_joint(z).data) == bits(chain_log_joint(head, z).data)
+
     @staticmethod
     def taped_grads(head, z_value, weights, log_joint_fn):
         """Forward value and gradients of a loss mixing a weighted sum and a logsumexp."""
@@ -462,3 +490,55 @@ class TestFusedDense:
     def test_wrong_width_raises(self):
         with pytest.raises(ValueError, match="inner dimensions"):
             Backbone(16, 8, seed=0).embed(np.zeros((2, 15)))
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("width", [*range(1, 41), 64, 127, 128, 129, 200, 300])
+    def test_equals_numpy_sum_bitwise(self, width, rng):
+        # Magnitudes spread over 16 decades make every change of order show.
+        a = rng.normal(size=(3, 5, width)) * 10.0 ** rng.uniform(-8, 8, (3, 5, width))
+        a[0, 0] = -0.0  # numpy's sum of negative zeros is +0.0
+        expected = a.sum(axis=-1)
+        got = _pairwise_sum0(np.moveaxis(a, -1, 0).copy())
+        assert bits(got) == bits(expected)
+
+
+class TestBlockedEmbed:
+    """An untaped ``embed`` runs in row blocks; each row equals the unblocked chain."""
+
+    ROWS = BLOCK_ENTRIES // 64  # rows per block at the widest layer
+
+    @pytest.mark.parametrize("n", [3 * ROWS + 37, 2 * ROWS + 1, ROWS])
+    def test_blocked_embed_equals_the_chain_bitwise(self, n, rng):
+        backbone = Backbone(16, 8, seed=4)
+        x = rng.normal(size=(n, 16))
+        z = backbone.embed(x)
+        assert z.tape is None
+        assert bits(z.data) == bits(chain_embed(backbone, x).data)
+
+    def test_taped_embed_is_one_block(self, rng):
+        backbone = Backbone(16, 8, seed=4)
+        x = rng.normal(size=(2 * self.ROWS + 9, 16))
+        tape = Tape()
+        z = backbone.embed(x, tape)
+        assert len(tape) == 9
+        assert bits(z.data) == bits(chain_embed(backbone, x).data)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_matmul_overflow_in_a_later_block_names_matmul(self):
+        backbone = Backbone(16, 8, seed=0)
+        backbone.weights[0].value[...] = 1.0
+        x = np.zeros((3 * self.ROWS, 16))
+        x[2 * self.ROWS + 5] = 1e308  # sums 16 times 1e308
+        with pytest.raises(NonFiniteError, match="matmul produced"):
+            backbone.embed(x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bias_overflow_in_a_later_block_names_add(self):
+        backbone = Backbone(1, 8, hidden=(2,), seed=0)
+        backbone.weights[0].value[...] = 1.0
+        backbone.biases[0].value[...] = 1e308
+        x = np.full((3 * self.ROWS, 1), -1e308)
+        x[2 * self.ROWS + 5] = 1e308
+        with pytest.raises(NonFiniteError, match="add produced"):
+            backbone.embed(x)

@@ -9,9 +9,20 @@ from gmix.metrics import (
     CSV_COLUMNS,
     MetricsReport,
     compactness,
-    outlier_pr,
     pseudo_quality,
 )
+
+
+def outlier_pr(flags_true, flags_pred) -> tuple[float, float]:
+    """Standard precision/recall with the (1, 1) empty-set convention."""
+    t = np.asarray(flags_true, dtype=bool)
+    p = np.asarray(flags_pred, dtype=bool)
+    if t.shape != p.shape:
+        raise ValueError("flag vectors differ in length")
+    hits = int((t & p).sum())
+    precision = hits / int(p.sum()) if p.any() else 1.0
+    recall = hits / int(t.sum()) if t.any() else 1.0
+    return precision, recall
 
 
 class TestCompactness:

@@ -95,15 +95,26 @@ class TestBlockedScores:
     @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_bitwise_equal_to_the_dense_formula(self, rng, kind, mode):
-        centers = rng.normal(size=(5, 4))
+        self.check_against_dense(rng, kind, mode, classes=5, dim=4)
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 16])
+    @pytest.mark.parametrize("classes", [1, 4, 8])
+    def test_bitwise_equal_across_widths_and_class_counts(self, rng, kind, mode, dim, classes):
+        self.check_against_dense(rng, kind, mode, classes, dim)
+
+    @staticmethod
+    def check_against_dense(rng, kind, mode, classes, dim):
+        centers = rng.normal(size=(classes, dim))
         if kind == "aagmm":
-            head = head_with(centers, rng.uniform(0.3, 3.0, (5, 4)))
+            head = head_with(centers, rng.uniform(0.3, 3.0, (classes, dim)))
         else:
             head = KmeansHead(centers)
         spanning = 2 * (BLOCK_ENTRIES // centers.size) + 11
         assert len(row_blocks(spanning, centers.size)) == 3
         for n in (0, 1, spanning):
-            z = rng.normal(scale=3.0, size=(n, 4))
+            z = rng.normal(scale=3.0, size=(n, dim))
             assert scores(head, z, mode).tobytes() == dense_scores(head, z, mode).tobytes()
 
     def test_wrong_width_is_rejected_not_broadcast(self):
