@@ -14,6 +14,16 @@ a non-finite sum is checked element by element, so a finite array whose
 sum overflows still passes (numpy warns about that overflow) and the
 check stays exact.
 
+A parameter has one leaf tensor per tape: :meth:`Parameter.use` records
+the leaf at its first use and returns that same tensor on every later use,
+so all consumers deposit into one slot, in reverse record order, and the
+leaf's record adds the slot into the parameter's gradient. The loss
+primitives of the training step (the mixture log joint, a dense layer,
+the log conditional, the negative log-likelihood and the whole moment
+loss) are each one record with a hand-derived reverse pass that repeats
+the arithmetic of the op-by-op chain it replaces, so they give the same
+bits as that chain.
+
 A tape and the tensors it records form reference cycles, so their memory
 is returned only when the records are dropped: ``pipeline.train_step``
 calls :meth:`Tape.clear` once the reverse pass is done.
@@ -73,12 +83,16 @@ class NonFiniteError(FloatingPointError):
 
 
 class Tape:
-    """Ordered record of the operations executed in one forward pass."""
+    """Ordered record of the operations executed in one forward pass.
 
-    __slots__ = ("_records",)
+    It also maps each :class:`Parameter` used on it to its one leaf tensor.
+    """
+
+    __slots__ = ("_records", "_leaves")
 
     def __init__(self) -> None:
         self._records: list[Callable[[], None]] = []
+        self._leaves: dict[Parameter, Tensor] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -92,8 +106,9 @@ class Tape:
             fn()
 
     def clear(self) -> None:
-        """Drop every record, releasing the intermediates they hold."""
+        """Drop every record and leaf, releasing the intermediates they hold."""
         self._records.clear()
+        self._leaves.clear()
 
 
 class Tensor:
@@ -193,14 +208,19 @@ class Parameter:
         self.grad[...] = 0.0
 
     def use(self, tape: Tape | None) -> Tensor:
-        """Place this parameter on a tape as a leaf tensor.
+        """This parameter's leaf tensor on a tape, one per tape.
 
+        The first use records the leaf; later uses return the same tensor.
         The leaf record runs last in the reverse pass (it was recorded
-        first), at which point every consumer has deposited its gradient
-        contribution into the leaf slot.
+        before any consumer), at which point every consumer has deposited
+        its gradient contribution into the leaf slot, and it adds their sum
+        into :attr:`grad`.
         """
-        t = Tensor(self.value, tape)
-        if tape is not None:
+        if tape is None:
+            return Tensor(self.value)
+        t = tape._leaves.get(self)
+        if t is None:
+            t = tape._leaves[self] = Tensor(self.value, tape)
 
             def backward_leaf() -> None:
                 if t.grad is not None:
@@ -326,8 +346,8 @@ def div(a, b) -> Tensor:
     )
 
 
-def _matmul_data(a: Tensor, b: Tensor) -> np.ndarray:
-    """``a.data @ b.data`` for 2-D operands, checked finite."""
+def _matmul_data(a: Tensor, b: Tensor, check: bool = True) -> np.ndarray:
+    """``a.data @ b.data`` for 2-D operands, checked finite if ``check``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
@@ -335,7 +355,8 @@ def _matmul_data(a: Tensor, b: Tensor) -> np.ndarray:
             f"matmul: inner dimensions differ ({a.data.shape} @ {b.data.shape})"
         )
     data = a.data @ b.data
-    _check_finite(data, "matmul")
+    if check:
+        _check_finite(data, "matmul")
     return data
 
 

@@ -13,12 +13,17 @@ Plain binary layout, little-endian throughout:
         float64[n]  payload, row-major
 
 Tensors round-trip bit-exactly; readers reject unknown magic/version.
-The file is written to a temporary name and renamed into place.
+The reader checks every declared length against the bytes left in the
+file before reading, so a corrupt length or extent is reported as a
+truncated checkpoint, never allocated. The file is written to a
+temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 
 import numpy as np
@@ -43,28 +48,31 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]) -> None:
             f.write(arr.tobytes(order="C"))
 
 
-def _read(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, {len(data)} left")
-    return data
+def _read(f, n: int, what: str, end: int) -> bytes:
+    """The next ``n`` bytes of ``f``, whose size is ``end``, checked before reading."""
+    left = end - f.tell()
+    if n > left:
+        raise ValueError(f"truncated checkpoint: {what} needs {n} bytes, {left} left")
+    return f.read(n)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        magic = _read(f, len(MAGIC), "magic")
+        end = os.fstat(f.fileno()).st_size
+        read = functools.partial(_read, f, end=end)
+        magic = read(len(MAGIC), "magic")
         if magic != MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-        version, count = struct.unpack("<II", _read(f, 8, "header"))
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
         for i in range(count):
-            (name_len,) = struct.unpack("<I", _read(f, 4, f"tensor {i} name length"))
-            name = _read(f, name_len, f"tensor {i} name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read(f, 4, f"ndim of tensor {name!r}"))
-            shape = struct.unpack(f"<{ndim}Q", _read(f, 8 * ndim, f"shape of tensor {name!r}"))
-            payload = _read(f, 8 * math.prod(shape), f"payload of tensor {name!r}")
+            (name_len,) = struct.unpack("<I", read(4, f"tensor {i} name length"))
+            name = read(name_len, f"tensor {i} name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", read(4, f"ndim of tensor {name!r}"))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of tensor {name!r}"))
+            payload = read(8 * math.prod(shape), f"payload of tensor {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return out
 

@@ -146,11 +146,17 @@ def _base_points(spec: SyntheticSpec, labels: np.ndarray, rng) -> np.ndarray:
     n = labels.shape[0]
     noise = spec.cluster_noise
     if spec.kind == "warped-mixture":
+        # The class center plus the noise, built in place. Adding 0.0 first
+        # turns a -0.0 noise value into +0.0, as its sum with a zero center
+        # coordinate did; on the first two axes the center's add that
+        # follows gives the same value either way.
         angles = 2.0 * math.pi * labels / spec.n_classes
-        centers = np.zeros((n, spec.ambient_dim))
-        centers[:, 0] = np.cos(angles)
-        centers[:, 1] = np.sin(angles)
-        return centers + noise * rng.standard_normal((n, spec.ambient_dim))
+        pts = rng.standard_normal((n, spec.ambient_dim))
+        pts *= noise
+        pts += 0.0
+        pts[:, 0] += np.cos(angles)
+        pts[:, 1] += np.sin(angles)
+        return pts
     if spec.kind == "two-moons":
         t = rng.uniform(0.0, math.pi, size=n)
         upper = np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -182,31 +188,33 @@ def generate(spec: SyntheticSpec) -> Dataset:
     unlabeled_y = rng.integers(0, spec.n_classes, size=spec.n_unlabeled)
     test_y = _balanced_labels(spec.n_test, spec.n_classes)
 
-    labeled_x = _lift(_base_points(spec, labeled_y, rng), affine, offset)
-    unlabeled_x = _lift(_base_points(spec, unlabeled_y, rng), affine, offset)
-    test_x = _lift(_base_points(spec, test_y, rng), affine, offset)
+    # Each split's lifted points are written straight into its rows.
+    sizes = (n_labeled, spec.n_unlabeled, spec.n_test)
+    labels = np.concatenate([labeled_y, unlabeled_y, test_y])
+    features = np.empty((labels.shape[0], spec.ambient_dim))
+    lo = 0
+    for y in (labeled_y, unlabeled_y, test_y):
+        rows = features[lo:lo + y.shape[0]]
+        np.matmul(_base_points(spec, y, rng), affine, out=rows)
+        rows += offset
+        np.tanh(rows, out=rows)
+        lo += y.shape[0]
 
-    train_clean = np.concatenate([labeled_x, unlabeled_x], axis=0)
+    # The scale and the outlier radius come from the clean training rows,
+    # read before any outlier is written over them.
+    train_clean = features[:n_labeled + spec.n_unlabeled]
     feature_scale = np.maximum(train_clean.std(axis=0), 1e-12)
 
-    outlier = np.zeros(n_labeled + spec.n_unlabeled + spec.n_test, dtype=bool)
-    labels = np.concatenate([labeled_y, unlabeled_y, test_y])
+    outlier = np.zeros(labels.shape[0], dtype=bool)
     n_out = round(spec.outlier_frac * spec.n_unlabeled)
     if n_out:
         radius = float(np.linalg.norm(train_clean, axis=1).max())
-        idx = rng.choice(spec.n_unlabeled, size=n_out, replace=False)
-        unlabeled_x[idx] = rng.uniform(
-            -5.0 * radius, 5.0 * radius, size=(n_out, spec.ambient_dim)
-        )
-        outlier[n_labeled + idx] = True
-        labels[n_labeled + idx] = -1
+        idx = n_labeled + rng.choice(spec.n_unlabeled, size=n_out, replace=False)
+        features[idx] = rng.uniform(-5.0 * radius, 5.0 * radius, size=(n_out, spec.ambient_dim))
+        outlier[idx] = True
+        labels[idx] = -1
 
-    features = np.concatenate([labeled_x, unlabeled_x, test_x], axis=0)
-    split = np.array(
-        ["labeled"] * n_labeled
-        + ["unlabeled"] * spec.n_unlabeled
-        + ["test"] * spec.n_test
-    )
+    split = np.repeat(np.array(["labeled", "unlabeled", "test"]), sizes)
     if spec.kind == "warped-mixture":
         angles = 2.0 * math.pi * np.arange(spec.n_classes) / spec.n_classes
         centers_base = np.zeros((spec.n_classes, base_dim))

@@ -35,6 +35,7 @@ import math
 import numpy as np
 
 from .autodiff import (
+    NonFiniteError,
     Parameter,
     Tape,
     Tensor,
@@ -120,17 +121,24 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
     """``leaky_relu(h @ w + b, slope)`` as one tape record; ``h @ w + b`` if slope is None.
 
     The forward adds the bias into the matmul's result and rectifies it in
-    place. It keeps the op-by-op chain's arithmetic and its finiteness
-    checks, named ``matmul`` and ``add``; the rectifier cannot make a
+    place. One finiteness check after the bias add stands for the op-by-op
+    chain's two: a non-finite product stays non-finite after adding a
+    bias, so only when the check fails is the product recomputed, to name
+    ``matmul`` or ``add`` as the chain did. The rectifier cannot make a
     finite value non-finite. For a slope in [0, 1] the output is positive
     exactly where the sum was, so the hand-derived reverse pass masks by
     the output where the chain masked by the sum: the sum's gradient is
-    ``g * where(out > 0, 1, slope)``. As in the chain, b gets its row sum,
+    ``where(out > 0, g, g * slope)``, the chain's ``g * where(sum > 0, 1,
+    slope)`` since ``g * 1.0 == g``. As in the chain, b gets its row sum,
     w gets ``h.T @`` it and h gets it ``@ w.T``.
     """
-    data = _matmul_data(h, w)
+    data = _matmul_data(h, w, check=False)
     np.add(data, b.data, out=data)
-    _check_finite(data, "add")
+    try:
+        _check_finite(data, "add")
+    except NonFiniteError:
+        _check_finite(h.data @ w.data, "matmul")
+        raise
     if slope is not None:
         np.maximum(data, np.multiply(data, slope), out=data)
 
@@ -139,7 +147,7 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
     def d_sum(g):
         # The routes below share one rectifier gradient per reverse pass.
         if memo.get("g") is not g:
-            memo.update(g=g, d=g if slope is None else g * np.where(data > 0.0, 1.0, slope))
+            memo.update(g=g, d=g if slope is None else np.where(data > 0.0, g, g * slope))
         return memo["d"]
 
     return _result(data, _join_tape(h, w, b),
@@ -241,11 +249,29 @@ def log_prior(head, z, tape: Tape | None = None) -> Tensor:
 
 
 def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
-    """Row-normalized class log probabilities, shape (n, K)."""
+    """Row-normalized class log probabilities, shape (n, K).
+
+    One tape record past the class scores: the chain ``scores -
+    logsumexp(scores, axis=1, keepdims=True)``, with its arithmetic and
+    its finiteness checks, named ``logsumexp`` and ``sub``. The reverse
+    pass gives the scores what the chain's two records deposited, in their
+    order: ``g``, plus the row sum of ``-g`` spread by the softmax.
+    """
     z = z if isinstance(z, Tensor) else Tensor(z)
     _check_width(head.latent_dim, z)
     scores = head.class_log_scores(z, tape)
-    return scores - logsumexp(scores, axis=1, keepdims=True)
+    x = scores.data
+    m = np.max(x, axis=1, keepdims=True)
+    shifted = np.exp(x - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    lse = np.log(total) + m
+    _check_finite(lse, "logsumexp")
+    with np.errstate(all="ignore"):
+        data = np.subtract(x, lse)
+    _check_finite(data, "sub")
+    softmax = shifted / total if scores.tape is not None else None
+    return _result(data, scores.tape,
+                   (scores, lambda g: g + _unbroadcast(-g, lse.shape) * softmax))
 
 
 def conditional(head, z, tape: Tape | None = None) -> Tensor:
@@ -362,15 +388,14 @@ def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
         # The routes below share one computation per reverse pass.
         if memo.get("g") is not g:
             diff = z.data[:, None, :] - mu.data  # the forward's residuals, recomputed
-            gq = np.broadcast_to(((-g) * 0.5)[:, :, None], diff.shape)
+            gq = ((-g) * 0.5)[:, :, None]
             gp = gq if inv_var is None else gq * inv_var
             gd = gp * (2 * diff)
             memo.update(g=g, z=_unbroadcast(gd, (z.shape[0], 1, d)).reshape(z.shape),
                         mu=(-gd).sum(axis=0))
             if lv is not None:
                 ge = (gq * np.square(diff)).sum(axis=0)
-                memo["lv"] = (np.broadcast_to(((-g.sum(axis=0)) * 0.5)[:, None], (k, d))
-                              + (-(ge * inv_var)))
+                memo["lv"] = ((-g.sum(axis=0)) * 0.5)[:, None] + (-(ge * inv_var))
         return memo
 
     routes = [(z, lambda g: grads(g)["z"]), (mu, lambda g: grads(g)["mu"])]

@@ -13,8 +13,12 @@ The tensors are symmetric under any permutation of their indices, so the
 loss is evaluated over the C(D+p-1, p) sorted index multisets instead of
 the D^p entries (330 instead of 4096 at D=8, p=4), with each multiset's
 multiplicity folded into its weight: the same sum in a different order.
-One primitive per order, :func:`moment_discrepancy`, computes it with a
-hand-derived reverse pass. The dense tensors of :func:`moment_targets` and
+Each order's discrepancy has a hand-derived reverse pass, which
+:func:`moment_discrepancy` records as one primitive. :func:`mom_loss`
+records the whole loss over all orders as one tape record past the
+centering: it repeats the op-by-op chain of per-order records, sums,
+divisions, weights and adds, forward and reverse, so it gives the same
+bits. The dense tensors of :func:`moment_targets` and
 :func:`weight_tensor` remain only as the oracle the tests check against.
 """
 
@@ -334,6 +338,50 @@ def _estimate(x: np.ndarray, w: np.ndarray, order: int,
     return _Estimate(lower, prod, moments, safe_mass, active)
 
 
+def _discrepancy(x: np.ndarray, w: np.ndarray | None, order: int,
+                 chain: list[np.ndarray] | None = None):
+    """Forward and reverse pass of one order: ``(per_group, active, vjp_x, vjp_w)``.
+
+    ``per_group`` is the (G,) discrepancy with starved populations masked
+    to zero; ``vjp_x`` and ``vjp_w`` map its gradient to those of the
+    samples ``x`` and the weights ``w`` (None means unit weights). See
+    :func:`moment_discrepancy`.
+    """
+    n, groups, dim = x.shape
+    table = multisets(order, dim)
+    w = np.ones((n, groups)) if w is None else w
+    with np.errstate(all="ignore"):
+        est = _estimate(x, w, order, chain)
+        diff = est.moments - table.target
+        per_group = (diff * diff * table.coef).sum(axis=1)
+    _check_finite(per_group, f"mom_p{order}")
+    mask = est.active.astype(np.float64)
+
+    def d_moments(g):
+        return (g * mask)[:, None] * table.coef * (2.0 * diff)
+
+    def vjp_x(g):
+        d_sums = d_moments(g) / est.safe_mass[:, None]
+        per_axis = d_sums[:, table.grad_index] * table.grad_count  # (G, V, dim)
+        dx = np.matmul(est.lower.transpose(1, 0, 2), per_axis).transpose(1, 0, 2)
+        return dx * w[:, :, None]
+
+    def vjp_w(g):
+        dm = d_moments(g)
+        d_sums = dm / est.safe_mass[:, None]
+        d_mass = (-dm * est.moments / est.safe_mass[:, None]).sum(axis=1)
+        # Row blocks keep the product temporary small. One (n, G, U)
+        # temporary at the peak of the step made the allocator hand the
+        # step's memory back to the OS at its end and fault it in again on
+        # the next step: about 1,000 minor page faults per mom4 step.
+        d_weights = np.empty((n, groups))
+        for lo, hi in row_blocks(n, est.prod[0].size):
+            d_weights[lo:hi] = (est.prod[lo:hi] * d_sums).sum(axis=2)
+        return d_weights + d_mass
+
+    return per_group * mask, est.active, vjp_x, vjp_w
+
+
 def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int,
                        chain: list[np.ndarray] | None = None):
     """Weighted order-p moment discrepancy of each population, one tape record.
@@ -357,72 +405,88 @@ def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int,
     the dense outer-product chain this replaced, so order 1 (the default
     config) gives bit-identical results; orders 2..4 differ in the last bits.
     """
-    n, groups, dim = pops.shape
-    table = multisets(order, dim)
-    w = np.ones((n, groups)) if weights is None else weights.data
-    with np.errstate(all="ignore"):
-        est = _estimate(pops.data, w, order, chain)
-        diff = est.moments - table.target
-        per_group = (diff * diff * table.coef).sum(axis=1)
-    _check_finite(per_group, f"mom_p{order}")
-    mask = est.active.astype(np.float64)
-    tape = _join_tape(pops) if weights is None else _join_tape(pops, weights)
-
-    def d_moments(g):
-        return (g * mask)[:, None] * table.coef * (2.0 * diff)
-
-    def vjp_pops(g):
-        d_sums = d_moments(g) / est.safe_mass[:, None]
-        per_axis = d_sums[:, table.grad_index] * table.grad_count  # (G, V, dim)
-        dx = np.matmul(est.lower.transpose(1, 0, 2), per_axis).transpose(1, 0, 2)
-        return dx * w[:, :, None]
-
-    def vjp_weights(g):
-        dm = d_moments(g)
-        d_sums = dm / est.safe_mass[:, None]
-        d_mass = (-dm * est.moments / est.safe_mass[:, None]).sum(axis=1)
-        # Row blocks keep the product temporary small. One (n, G, U)
-        # temporary at the peak of the step made the allocator hand the
-        # step's memory back to the OS at its end and fault it in again on
-        # the next step: about 1,000 minor page faults per mom4 step.
-        d_weights = np.empty((n, groups))
-        for lo, hi in row_blocks(n, est.prod[0].size):
-            d_weights[lo:hi] = (est.prod[lo:hi] * d_sums).sum(axis=2)
-        return d_weights + d_mass
-
-    routes = [(pops, vjp_pops)]
+    w = None if weights is None else weights.data
+    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order, chain)
+    routes = [(pops, vjp_x)]
     if weights is not None:
-        routes.append((weights, vjp_weights))
-    return _result(per_group * mask, tape, *routes), est.active
+        routes.append((weights, vjp_w))
+    tape = _join_tape(pops) if weights is None else _join_tape(pops, weights)
+    return _result(data, tape, *routes), active
 
 
 def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     """Weighted moment-matching loss, differentiable through z and the head.
 
     Returns ``(total, per_order)`` where ``per_order`` maps each order
-    p <= spec.max_order to its weighted scalar term.
+    p <= spec.max_order to its weighted scalar term, an untaped value.
+
+    The sum over orders is one tape record past the centralization. Its
+    forward is the op-by-op chain it replaces, order by order, with that
+    chain's finiteness checks: the discrepancy (``mom_p{p}``), its sum
+    over populations, the division by the active count, the product with
+    the order's weight and the running add. Its reverse pass gives each
+    order ``(g * weight) / count``, spread over the populations, through
+    that order's :func:`moment_discrepancy` reverse pass, and accumulates
+    the results in the order the chain's replay did, from the highest
+    order down. In global mode order 1 measures the removed mean, so its
+    gradient goes to ``mean_offset``.
     """
     if spec.max_order < 1:
         raise ValueError("mom_loss requires max_order >= 1")
     batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
+    pops, weights, offset = batch.populations, batch.weights, batch.mean_offset
     per_order: dict[int, Tensor] = {}
+    steps = []  # (weight, count, vjp_x, vjp_w) of each order on the populations
+    offset_step = None
     total = None
     chain = None  # the populations' products, built once for every order
-    for order in range(1, spec.max_order + 1):
-        lam = spec.order_weights[order - 1]
-        if spec.mode == "global" and order == 1:
-            # The centered data's first moment is identically zero; the
-            # meaningful first-order statistic is the removed mean itself.
-            dim = batch.mean_offset.shape[0]
-            offset = reshape(batch.mean_offset, (1, 1, dim))
-            per_group, active = moment_discrepancy(offset, None, order)
-        else:
-            if chain is None:
-                chain = _product_chain(batch.populations.data, spec.max_order)
-            per_group, active = moment_discrepancy(
-                batch.populations, batch.weights, order, chain
-            )
-        term = lam * (tsum(per_group) / float(active.sum()))
-        per_order[order] = term
-        total = term if total is None else total + term
-    return total, per_order
+    with np.errstate(all="ignore"):
+        for order in range(1, spec.max_order + 1):
+            lam = spec.order_weights[order - 1]
+            on_offset = spec.mode == "global" and order == 1
+            if on_offset:
+                # The centered data's first moment is identically zero; the
+                # meaningful first-order statistic is the removed mean itself.
+                per_group, active, vjp_x, vjp_w = _discrepancy(
+                    offset.data.reshape(1, 1, -1), None, order)
+            else:
+                if chain is None:
+                    chain = _product_chain(pops.data, spec.max_order)
+                per_group, active, vjp_x, vjp_w = _discrepancy(
+                    pops.data, None if weights is None else weights.data, order, chain)
+            count = float(active.sum())
+            summed = per_group.sum()
+            _check_finite(summed, "sum")
+            mean = np.divide(summed, count)
+            _check_finite(mean, "div")
+            term = np.multiply(lam, mean)
+            _check_finite(term, "mul")
+            per_order[order] = Tensor(term)
+            if total is not None:
+                term = np.add(total, term)
+                _check_finite(term, "add")
+            total = term
+            step = (lam, count, vjp_x, vjp_w)
+            if on_offset:
+                offset_step = step
+            else:
+                steps.append(step)
+
+    def summed_vjp(of_weights: bool):
+        def vjp(g):
+            acc = None
+            for lam, count, vjp_x, vjp_w in reversed(steps):
+                d = (vjp_w if of_weights else vjp_x)((g * lam) / count)
+                acc = d if acc is None else acc + d
+            return acc
+        return vjp
+
+    routes = []
+    if steps:
+        routes.append((pops, summed_vjp(False)))
+        if weights is not None:
+            routes.append((weights, summed_vjp(True)))
+    if offset_step is not None:
+        lam, count, vjp_x, _ = offset_step
+        routes.append((offset, lambda g: vjp_x((g * lam) / count).reshape(offset.shape)))
+    return _result(np.asarray(total), _join_tape(*(t for t, _ in routes)), *routes), per_order

@@ -23,7 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, Tensor, backward, clip_global_norm, tsum
+from .autodiff import (
+    NonFiniteError,
+    Parameter,
+    Tape,
+    Tensor,
+    _check_finite,
+    _result,
+    backward,
+    clip_global_norm,
+    tsum,
+)
 from .datasets import Dataset, SyntheticSpec, augment_strong, augment_weak, generate
 from .fileio import atomic_write
 from .heads import HEAD_KINDS, Backbone, conditional, init_head, log_conditional
@@ -250,8 +260,25 @@ def curriculum_thresholds(counts: np.ndarray, conf_threshold: float) -> np.ndarr
 
 
 def _nll(log_cond: Tensor, labels: np.ndarray, n_classes: int) -> Tensor:
+    """Per-row negative log-likelihood of ``labels``, one tape record.
+
+    The forward is the chain ``-(log_cond * onehot).sum(axis=1)``. A
+    non-finite product leaves its row sum non-finite and negation keeps a
+    finite value finite, so the sum's check stands for all three; only
+    when it fails is the product checked, to name ``mul`` or ``sum`` as
+    the chain did. The reverse pass gives ``log_cond`` the chain's
+    gradient, ``(-g)[:, None] * onehot``.
+    """
     onehot = np.eye(n_classes)[labels]
-    return -tsum(log_cond * Tensor(onehot), axis=1)
+    with np.errstate(all="ignore"):
+        prod = log_cond.data * onehot
+    summed = prod.sum(axis=1)
+    try:
+        _check_finite(summed, "sum")
+    except NonFiniteError:
+        _check_finite(prod, "mul")
+        raise
+    return _result(-summed, log_cond.tape, (log_cond, lambda g: (-g)[:, None] * onehot))
 
 
 def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],

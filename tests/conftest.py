@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import os
 import sys
 from pathlib import Path
 
@@ -39,3 +41,28 @@ def load_bench(monkeypatch):
         return module
 
     return load
+
+
+class _GuardedReader(io.BufferedReader):
+    """A file that fails any read asking for more bytes than it has left."""
+
+    def read(self, n=-1):
+        left = os.fstat(self.fileno()).st_size - self.tell()
+        assert n <= left, f"read of {n} bytes with {left} left"
+        return super().read(n)
+
+
+@pytest.fixture
+def guarded_checkpoint_reads(monkeypatch):
+    """Make ``gmix.checkpoint`` open files that refuse reads past their end.
+
+    A corrupt length then fails the test with an assertion, instead of the
+    reader allocating the declared size.
+    """
+    import gmix.checkpoint
+
+    def guarded_open(path, mode="r"):
+        assert mode == "rb"
+        return _GuardedReader(io.FileIO(path, "rb"))
+
+    monkeypatch.setattr(gmix.checkpoint, "open", guarded_open, raising=False)

@@ -17,6 +17,7 @@ from gmix.autodiff import (
     backward,
     clip_global_norm,
     finite_diff_check,
+    tsum,
 )
 
 
@@ -334,6 +335,50 @@ class TestFiniteDiffCheck:
             return (Tensor(q) * p.use(tape) ** 2).sum()
 
         assert finite_diff_check(fn, [p]) < 1e-9
+
+
+def separate_leaf(param, tape):
+    """A leaf of its own for every use: the rule the one-leaf-per-tape map replaced."""
+    t = Tensor(param.value, tape)
+
+    def backward_leaf():
+        if t.grad is not None:
+            param.grad += t.grad
+
+    tape.record(backward_leaf)
+    return t
+
+
+class TestLeaf:
+    def test_one_leaf_per_parameter_per_tape(self):
+        p = Parameter(np.ones(3))
+        tape = Tape()
+        leaf = p.use(tape)
+        assert p.use(tape) is leaf and leaf.tape is tape
+        assert len(tape) == 1
+        assert p.use(Tape()) is not leaf
+        assert p.use(None).tape is None and p.use(None) is not leaf
+        tape.clear()
+        assert p.use(tape) is not leaf and len(tape) == 1
+
+    @pytest.mark.parametrize("scales", [
+        (1.0, 1e16, -1e16),  # the sum depends on the order of the deposits
+        (-0.0, -0.0, -0.0),  # and its sign on where the zeros start
+        (2.5, -0.0, 0.125),
+    ])
+    def test_three_uses_equal_three_separate_leaves_bitwise(self, scales, rng):
+        value = rng.normal(size=(4, 3))
+        value[0] = 0.0
+        grads = []
+        for leaf in (Parameter.use, separate_leaf):
+            p = Parameter(value)
+            tape = Tape()
+            first = tsum(leaf(p, tape) * Tensor(np.full((4, 3), scales[0])))
+            second = tsum(ad.exp(leaf(p, tape)) * Tensor(np.full((4, 3), scales[1])))
+            third = tsum(ad.matmul(leaf(p, tape), Tensor(np.full((3, 2), scales[2]))))
+            backward(first + second + third)
+            grads.append(p.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestParameter:

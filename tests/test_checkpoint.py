@@ -1,7 +1,11 @@
 """Checkpoint binary format: bit-exact roundtrips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
+
+from gmix.cli import main
 
 from gmix.checkpoint import (
     MAGIC,
@@ -92,3 +96,38 @@ class TestCorruption:
         save_checkpoint(path, arrays)
         with pytest.raises(ValueError, match="shape mismatch"):
             load_model(path, backbone, head)
+
+
+class TestCorruptLengths:
+    """Declared lengths are checked against the file before anything is read.
+
+    The layout of ``{"w": (2, 3)}``: name length at byte 16, the name at
+    20, ndim at 21, the two extents at 25 and 33, the payload at 41.
+    """
+
+    MUTATIONS = {
+        "extent 2**40": (25, struct.pack("<Q", 2**40)),
+        "extent 2**62": (25, struct.pack("<Q", 2**62)),
+        "ndim 2**30": (21, struct.pack("<I", 2**30)),
+    }
+
+    @pytest.fixture(params=sorted(MUTATIONS))
+    def corrupt(self, request, tmp_path, guarded_checkpoint_reads):
+        path = tmp_path / "corrupt.bin"
+        save_checkpoint(path, {"w": np.zeros((2, 3))})
+        data = bytearray(path.read_bytes())
+        assert len(data) == 41 + 48
+        offset, value = self.MUTATIONS[request.param]
+        data[offset:offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_load_checkpoint_reports_truncation(self, corrupt):
+        with pytest.raises(ValueError, match="truncated checkpoint: (shape|payload) of tensor 'w'"):
+            load_checkpoint(corrupt)
+
+    def test_eval_exits_1_with_an_error_line(self, corrupt, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("data.unlabeled = 300\ndata.test = 100\n")
+        assert main(["eval", str(config_path), "--checkpoint", str(corrupt)]) == 1
+        assert capsys.readouterr().err.startswith("error: truncated checkpoint")

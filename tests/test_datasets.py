@@ -2,12 +2,19 @@
 augmentation statistics, and CSV round-trips."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gmix.datasets import (
+    LIFT_GAIN,
+    LIFT_OFFSET,
     SyntheticSpec,
+    _balanced_labels,
+    _base_dim,
+    _base_points,
     augment_strong,
     augment_weak,
     generate,
@@ -16,6 +23,55 @@ from gmix.datasets import (
 )
 
 DEFAULT = SyntheticSpec()
+
+
+def reference_base_points(spec, labels, rng):
+    """The base points before the warped ones were built in place.
+
+    The warped mixture adds the noise to a zero array holding the centers.
+    """
+    if spec.kind != "warped-mixture":
+        return _base_points(spec, labels, rng)
+    angles = 2.0 * math.pi * labels / spec.n_classes
+    centers = np.zeros((labels.shape[0], spec.ambient_dim))
+    centers[:, 0] = np.cos(angles)
+    centers[:, 1] = np.sin(angles)
+    return centers + spec.cluster_noise * rng.standard_normal(centers.shape)
+
+
+def reference_generate(spec):
+    """The generator before it wrote each split into one preallocated array.
+
+    Each split is lifted on its own and concatenated.
+    """
+    def base_points(labels):
+        return reference_base_points(spec, labels, rng)
+
+    rng = np.random.default_rng(spec.seed)
+    base_dim = _base_dim(spec)
+    affine = rng.standard_normal((base_dim, spec.ambient_dim)) * (LIFT_GAIN / math.sqrt(base_dim))
+    offset = rng.standard_normal(spec.ambient_dim) * LIFT_OFFSET
+    n_labeled = spec.labels_per_class * spec.n_classes
+    labeled_y = np.repeat(np.arange(spec.n_classes), spec.labels_per_class)
+    unlabeled_y = rng.integers(0, spec.n_classes, size=spec.n_unlabeled)
+    test_y = _balanced_labels(spec.n_test, spec.n_classes)
+    labeled_x, unlabeled_x, test_x = (
+        np.tanh(base_points(y) @ affine + offset) for y in (labeled_y, unlabeled_y, test_y))
+    train_clean = np.concatenate([labeled_x, unlabeled_x], axis=0)
+    feature_scale = np.maximum(train_clean.std(axis=0), 1e-12)
+    outlier = np.zeros(n_labeled + spec.n_unlabeled + spec.n_test, dtype=bool)
+    labels = np.concatenate([labeled_y, unlabeled_y, test_y])
+    n_out = round(spec.outlier_frac * spec.n_unlabeled)
+    if n_out:
+        radius = float(np.linalg.norm(train_clean, axis=1).max())
+        idx = rng.choice(spec.n_unlabeled, size=n_out, replace=False)
+        unlabeled_x[idx] = rng.uniform(-5.0 * radius, 5.0 * radius, size=(n_out, spec.ambient_dim))
+        outlier[n_labeled + idx] = True
+        labels[n_labeled + idx] = -1
+    features = np.concatenate([labeled_x, unlabeled_x, test_x], axis=0)
+    split = np.array(["labeled"] * n_labeled + ["unlabeled"] * spec.n_unlabeled
+                     + ["test"] * spec.n_test)
+    return features, labels, split, outlier, feature_scale
 
 
 class TestGenerate:
@@ -85,6 +141,37 @@ class TestGenerate:
     def test_outlier_frac_bounds(self):
         with pytest.raises(ValueError, match="outlier_frac"):
             SyntheticSpec(outlier_frac=0.5)
+
+
+class TestAgainstReference:
+    SPECS = [
+        SyntheticSpec(kind=kind, n_classes=2 if kind == "two-moons" else 3, ambient_dim=dim,
+                      n_unlabeled=pool, n_test=test, labels_per_class=2,
+                      outlier_frac=frac, seed=seed)
+        for kind, dim, (pool, test), frac, seed in itertools.product(
+            ["warped-mixture", "two-moons", "rings"], [2, 16], [(30, 1), (2000, 500)],
+            [0.0, 0.05, 0.3], [0, 1])
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: (
+        f"{s.kind}-d{s.ambient_dim}-n{s.n_unlabeled}-o{s.outlier_frac}-s{s.seed}"))
+    def test_every_field_is_bitwise_equal(self, spec):
+        ds = generate(spec)
+        fields = (ds.features, ds.labels, ds.split, ds.outlier, ds.feature_scale)
+        for got, want in zip(fields, reference_generate(spec)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_warped_base_points_keep_the_sign_of_zero(self):
+        # Noise this small rounds to signed zeros, which the sum with the
+        # zero center coordinates turned into +0.0.
+        spec = SyntheticSpec(cluster_noise=5e-324)
+        labels = np.arange(40) % spec.n_classes
+        got = _base_points(spec, labels, np.random.default_rng(3))
+        want = reference_base_points(spec, labels, np.random.default_rng(3))
+        assert np.count_nonzero(spec.cluster_noise * np.random.default_rng(3).standard_normal(
+            got.shape) == 0.0) > 0
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAugment:

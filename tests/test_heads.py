@@ -492,6 +492,65 @@ class TestFusedDense:
             Backbone(16, 8, seed=0).embed(np.zeros((2, 15)))
 
 
+def chain_log_conditional(head, z, tape=None):
+    """The two-record log conditional the fused one replaced."""
+    scores = head.class_log_scores(z, tape)
+    return scores - logsumexp(scores, axis=1, keepdims=True)
+
+
+class TestFusedLogConditional:
+    """``log_conditional`` against the logsumexp-and-sub chain, bit for bit."""
+
+    @staticmethod
+    def head(kind, classes, dim=3):
+        head = init_head(kind, classes, dim, seed=7)
+        if kind == "aagmm":
+            head.log_var.value[...] = np.random.default_rng(7).uniform(-1.0, 1.0, (classes, dim))
+        return head
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans", "linear"])
+    @pytest.mark.parametrize("classes", [4, 1])
+    def test_untaped_forward_is_bitwise_equal(self, kind, classes, rng):
+        head = self.head(kind, classes)
+        for n in (0, 1, 50):
+            z = Tensor(rng.normal(scale=2.0, size=(n, 3)))
+            fused = log_conditional(head, z)
+            assert fused.tape is None
+            assert bits(fused.data) == bits(chain_log_conditional(head, z).data)
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans", "linear"])
+    @pytest.mark.parametrize("classes", [4, 1])
+    def test_taped_forward_and_gradients_are_bitwise_equal(self, kind, classes, rng):
+        head = self.head(kind, classes)
+        z_value = rng.normal(scale=2.0, size=(50, 3))
+        w = rng.normal(size=(50, classes))
+        w[:5] = -0.0  # rows whose gradient is all signed zeros
+        results = []
+        for fn in (log_conditional, chain_log_conditional):
+            for p in head.parameters():
+                p.zero_grad()
+            z = Parameter(z_value)
+            tape = Tape()
+            lc = fn(head, z.use(tape), tape)
+            backward(tsum(lc * Tensor(w)))
+            results.append([lc.data, z.grad, *(p.grad.copy() for p in head.parameters())])
+        for a, b in zip(*results):
+            assert bits(a) == bits(b)
+
+    def test_one_record_past_the_scores(self):
+        tape = Tape()
+        log_conditional(self.head("aagmm", 4), Tensor(np.zeros((2, 3)), tape), tape)
+        assert len(tape) == 4  # centers leaf, log_var leaf, log joint, log conditional
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_names_sub(self):
+        head = init_head("linear", 2, 1, seed=0)
+        head.bias.value[...] = [1.7e308, -1.7e308]
+        for fn in (log_conditional, chain_log_conditional):
+            with pytest.raises(NonFiniteError, match="sub produced"):
+                fn(head, Tensor(np.zeros((1, 1))))
+
+
 class TestPairwiseSum:
     @pytest.mark.parametrize("width", [*range(1, 41), 64, 127, 128, 129, 200, 300])
     def test_equals_numpy_sum_bitwise(self, width, rng):

@@ -293,6 +293,26 @@ def loss_and_grads(loss_fn, z, spec, head, sample_mask=None):
     return total.item(), terms, [p.grad.copy() for p in params]
 
 
+def chain_mom_loss(z, spec, head=None, sample_mask=None):
+    """The op-by-op loss the fused record replaced: the reference.
+
+    Each order is its own ``moment_discrepancy`` record over its own
+    product chain, then a sum, a division by the active count, a product
+    with the order's weight and the running add, one record each.
+    """
+    batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
+    per_order, total = {}, None
+    for order in range(1, spec.max_order + 1):
+        pops, weights = batch.populations, batch.weights
+        if spec.mode == "global" and order == 1:
+            pops, weights = reshape(batch.mean_offset, (1, 1, pops.shape[2])), None
+        per_group, active = moment_discrepancy(pops, weights, order)
+        term = spec.order_weights[order - 1] * (tsum(per_group) / float(active.sum()))
+        per_order[order] = term
+        total = term if total is None else total + term
+    return total, per_order
+
+
 def assert_rel_close(actual, expected, rel):
     """Worst absolute error within ``rel`` of the reference's largest magnitude."""
     actual, expected = np.asarray(actual), np.asarray(expected)
@@ -563,39 +583,6 @@ class TestMultisetPrimitive:
         for p in per:
             assert per[p].item() == pytest.approx(ref_per[p], rel=1e-12)
 
-    @pytest.mark.parametrize("mode, kind", [
-        ("global", None),
-        ("per-cluster-soft", "aagmm"),
-    ])
-    def test_shared_chain_equals_one_chain_per_order_bitwise(self, mode, kind, rng):
-        # mom_loss builds the product chain once for all orders; each order
-        # building its own chain, as a lone moment_discrepancy call does,
-        # gives the same bits in the loss, the terms and every gradient.
-        def per_order_chain_loss(z, spec, head=None, sample_mask=None):
-            batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
-            per_order, total = {}, None
-            for order in range(1, spec.max_order + 1):
-                pops, weights = batch.populations, batch.weights
-                if spec.mode == "global" and order == 1:
-                    pops, weights = reshape(batch.mean_offset, (1, 1, pops.shape[2])), None
-                per_group, active = moment_discrepancy(pops, weights, order)
-                term = spec.order_weights[order - 1] * (tsum(per_group) / float(active.sum()))
-                per_order[order] = term
-                total = term if total is None else total + term
-            return total, per_order
-
-        dim = 5
-        z = rng.normal(size=(30, dim))
-        head = init_head(kind, 3, dim, seed=2) if kind else None
-        mask = np.ones(30, dtype=bool)
-        mask[[4, 9]] = False
-        spec = MomentSpec(max_order=4, mode=mode)
-        shared = loss_and_grads(mom_loss, z, spec, head, mask)
-        separate = loss_and_grads(per_order_chain_loss, z, spec, head, mask)
-        assert shared[:2] == separate[:2]
-        for g, ref in zip(shared[2], separate[2]):
-            assert g.tobytes() == ref.tobytes()
-
     def test_non_finite_moment_faults_with_the_order_named(self):
         pops = Tensor(np.full((4, 1, 2), 1e90))
         with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
@@ -620,6 +607,76 @@ class TestMultisetPrimitive:
         pops = Tensor(np.ones((5, 2, 3)))
         with pytest.raises(ValueError, match="degenerate"):
             moment_discrepancy(pops, weights, 2)
+
+
+class TestFusedMomLoss:
+    """``mom_loss``, one tape record past the centralization, against the op-by-op chain."""
+
+    @staticmethod
+    def scaled(loss_fn):
+        """The loss times 0.3, so the output gradient is not 1."""
+        def fn(*args, **kwargs):
+            total, per_order = loss_fn(*args, **kwargs)
+            return total * 0.3, per_order
+        return fn
+
+    def assert_bitwise_equal(self, z, spec, head=None, mask=None):
+        fused = loss_and_grads(self.scaled(mom_loss), z, spec, head, mask)
+        chain = loss_and_grads(self.scaled(chain_mom_loss), z, spec, head, mask)
+        assert list(fused[1]) == list(chain[1]) == list(range(1, spec.max_order + 1))
+        assert (np.array([fused[0], *fused[1].values()]).tobytes()
+                == np.array([chain[0], *chain[1].values()]).tobytes())
+        assert len(fused[2]) == len(chain[2])
+        for g, ref in zip(fused[2], chain[2]):
+            assert g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("mode, kind", [
+        ("global", None),
+        ("per-cluster-soft", "aagmm"),
+        ("per-cluster-soft", "kmeans"),
+    ])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bitwise_equal_to_the_chain(self, order, mode, kind, masked, rng):
+        dim = 5
+        z = rng.normal(size=(30, dim)) * 1.3 + 0.2
+        head = init_head(kind, 3, dim, seed=2) if kind else None
+        mask = None
+        if masked:
+            mask = np.ones(30, dtype=bool)
+            mask[[4, 9, 29]] = False
+        spec = MomentSpec(max_order=order, order_weights=(1.0, 0.5, 0.3, 0.125), mode=mode)
+        self.assert_bitwise_equal(z, spec, head, mask)
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    def test_bitwise_equal_to_the_chain_with_a_starved_cluster(self, kind, rng):
+        head = init_head(kind, 3, 2, seed=0)
+        head.centers.value[...] = [[0.0, 0.0], [0.0, 1.0], [500.0, 500.0]]
+        spec = MomentSpec(max_order=4, mode="per-cluster-soft")
+        self.assert_bitwise_equal(rng.normal(size=(20, 2)), spec, head)
+
+    @pytest.mark.parametrize("mode, kind", [("global", None), ("per-cluster-soft", "aagmm")])
+    def test_one_record_past_the_centralization(self, mode, kind, rng):
+        head = init_head(kind, 3, 4, seed=1) if kind else None
+        z = Parameter(rng.normal(size=(12, 4)))
+        lengths = []
+        for loss in (centralize, mom_loss):
+            tape = Tape()
+            if loss is centralize:
+                centralize(z.use(tape), mode, head=head)
+            else:
+                _, per_order = mom_loss(z.use(tape), MomentSpec(max_order=4, mode=mode), head=head)
+                assert all(t.tape is None for t in per_order.values())
+            lengths.append(len(tape))
+        assert lengths[1] == lengths[0] + 1
+
+    def test_non_finite_term_faults_with_the_op_named(self):
+        spec = MomentSpec(max_order=2, order_weights=(1.0, 1e308, 0.0, 0.0), mode="global")
+        z = np.array([[0.0], [4.0]])  # the order-2 discrepancy is 9, times 1e308
+        with pytest.raises(NonFiniteError, match="mul produced a non-finite value"):
+            chain_mom_loss(Tensor(z), spec)
+        with pytest.raises(NonFiniteError, match="mul produced a non-finite value"):
+            mom_loss(Tensor(z), spec)
 
 
 class TestSpecValidation:

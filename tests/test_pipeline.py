@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from gmix import pipeline
-from gmix.autodiff import Parameter, Tape, Tensor, backward, clip_global_norm, tsum
+from gmix.autodiff import (
+    NonFiniteError,
+    Parameter,
+    Tape,
+    Tensor,
+    backward,
+    clip_global_norm,
+    tsum,
+)
 from gmix.checkpoint import load_checkpoint
 from gmix.config import parse_config_text
 from gmix.datasets import SyntheticSpec, generate
@@ -17,6 +25,7 @@ from gmix.pipeline import (
     GateConfig,
     RunConfig,
     SgdMomentum,
+    _nll,
     curriculum_thresholds,
     evaluate,
     init_state,
@@ -228,11 +237,50 @@ class TestStepMechanics:
         np.testing.assert_allclose(p.value, [0.7])
 
 
+def chain_nll(log_cond, labels, n_classes):
+    """The three-record negative log-likelihood the fused one replaced."""
+    return -tsum(log_cond * Tensor(np.eye(n_classes)[labels]), axis=1)
+
+
+class TestFusedNll:
+    """``pipeline._nll`` against the mul, sum and neg chain, bit for bit."""
+
+    @pytest.mark.parametrize("classes", [4, 1])
+    @pytest.mark.parametrize("reduce", ["mean", "masked"])
+    def test_forward_and_gradient_are_bitwise_equal(self, classes, reduce, rng):
+        values = -rng.exponential(size=(40, classes))
+        labels = rng.integers(0, classes, size=40)
+        kept = (rng.random(40) < 0.6).astype(np.float64)
+        results = []
+        for fn in (_nll, chain_nll):
+            tape = Tape()
+            log_cond = Tensor(values, tape)
+            nll = fn(log_cond, labels, classes)
+            backward(nll.mean() if reduce == "mean" else tsum(nll * Tensor(kept)) / 40)
+            results.append([nll.data, log_cond.grad])  # signed zeros included
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
+
+    def test_one_record(self):
+        tape = Tape()
+        _nll(Tensor(np.zeros((3, 2)), tape), np.array([0, 1, 1]), 2)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_input_names_mul(self, column):
+        log_cond = np.zeros((2, 2))
+        log_cond[1, column] = -np.inf
+        for fn in (_nll, chain_nll):
+            with pytest.raises(NonFiniteError, match="mul produced"):
+                fn(Tensor(log_cond), np.array([0, 0]), 2)
+
+
 class TestTape:
-    @pytest.mark.parametrize("overrides, records", [("", 68), ("mom.orders = 4\n", 83)])
+    @pytest.mark.parametrize("overrides, records", [("", 40), ("mom.orders = 4\n", 40)])
     def test_records_per_step_are_pinned(self, monkeypatch, overrides, records):
-        # One record per op: a refactor that adds or drops a record changes
-        # these counts, which are also the benchmark's tape_records counter.
+        # One record per op or fused primitive and one leaf per parameter: a
+        # refactor that adds or drops a record changes these counts, which are
+        # also the benchmark's tape_records counter.
         counts = []
 
         def counting_backward(loss):
