@@ -22,7 +22,8 @@ primitives of the training step (the mixture log joint, a dense layer,
 the log conditional, the negative log-likelihood and the whole moment
 loss) are each one record with a hand-derived reverse pass that repeats
 the arithmetic of the op-by-op chain it replaces, so they give the same
-bits as that chain.
+bits as that chain. Where a primitive repeats an op's forward, it calls
+that op's helper (``_leaky``, ``_logsumexp_kept``) rather than a copy.
 
 A tape and the tensors it records form reference cycles, so their memory
 is returned only when the records are dropped: ``pipeline.train_step``
@@ -51,13 +52,11 @@ __all__ = [
     "div",
     "matmul",
     "exp",
-    "log",
     "powi",
     "neg",
     "leaky_relu",
     "tsum",
     "tmean",
-    "tmax",
     "logsumexp",
     "reshape",
     "backward",
@@ -174,9 +173,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False):
-        return tmax(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -381,13 +377,6 @@ def exp(a) -> Tensor:
     return _unary("exp", a, np.exp, lambda g, x, o: g * o)
 
 
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.size and np.min(a.data) <= 0.0:
-        raise ValueError("log requires strictly positive input")
-    return _unary("log", a, np.log, lambda g, x, o: g / x)
-
-
 def powi(a, n: int) -> Tensor:
     if not isinstance(n, int):
         raise TypeError("powi exponent must be an integer")
@@ -466,29 +455,17 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     )
 
 
-def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Reduce-max; ties route the gradient to the first maximal entry."""
-    a = _as_tensor(a)
-    if axis is not None and not isinstance(axis, int):
-        raise ValueError("max supports a single axis or None")
-    if _reduced_count(a.data.shape, _normalize_axes(axis, a.data.ndim)) == 0:
-        raise ValueError("max over an empty reduction")
-    data = a.data.max(axis=axis, keepdims=keepdims)
-    _check_finite(data, "max")
-    return _result(data, a.tape, (a, lambda g: _max_vjp(g, a.data, axis, keepdims)))
+def _logsumexp_kept(x: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted log of summed exponentials over ``axis``, with kept dims.
 
-
-def _max_vjp(g: np.ndarray, x: np.ndarray, axis, keepdims: bool) -> np.ndarray:
-    """Scatter a reduce-max gradient onto the first maximal entries of ``x``."""
-    full = np.zeros_like(x)
-    if axis is None:
-        idx = np.unravel_index(np.argmax(x), x.shape)
-        full[idx] = np.asarray(g).reshape(())
-    else:
-        am = np.expand_dims(np.argmax(x, axis=axis), axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(full, am, np.broadcast_to(gg, am.shape), axis)
-    return full
+    Returns ``(lse, shifted, total)``: ``shifted`` is ``exp(x - max)`` and
+    ``total`` its sum, so ``shifted / total`` is the softmax a reverse pass
+    needs. :func:`logsumexp` and ``heads.log_conditional`` both run it.
+    """
+    m = np.max(x, axis=axis, keepdims=True)
+    shifted = np.exp(x - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    return np.log(total) + m, shifted, total
 
 
 def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -497,10 +474,7 @@ def logsumexp(a, axis=None, keepdims: bool = False) -> Tensor:
     if axis is not None and not isinstance(axis, int):
         raise ValueError("logsumexp supports a single axis or None")
     x = a.data
-    m = np.max(x, axis=axis, keepdims=True)
-    shifted = np.exp(x - m)
-    total = shifted.sum(axis=axis, keepdims=True)
-    data_kept = np.log(total) + m
+    data_kept, shifted, total = _logsumexp_kept(x, axis)
     if keepdims:
         data = data_kept
     elif axis is None:

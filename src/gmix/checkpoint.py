@@ -12,11 +12,12 @@ Plain binary layout, little-endian throughout:
         uint64[nd]  extents
         float64[n]  payload, row-major
 
-Tensors round-trip bit-exactly; readers reject unknown magic/version.
-The reader checks every declared length against the bytes left in the
-file before reading, so a corrupt length or extent is reported as a
-truncated checkpoint, never allocated. The file is written to a
-temporary name and renamed into place.
+Tensors round-trip bit-exactly; readers reject unknown magic/version
+and a tensor name that appears twice. The reader checks every declared
+length against the bytes left in the file before reading, so a corrupt
+length or extent is reported as a truncated checkpoint, never
+allocated. The file is written to a temporary name and renamed into
+place.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         for i in range(count):
             (name_len,) = struct.unpack("<I", read(4, f"tensor {i} name length"))
             name = read(name_len, f"tensor {i} name").decode("utf-8")
+            if name in out:
+                raise ValueError(f"checkpoint names tensor {name!r} twice")
             (ndim,) = struct.unpack("<I", read(4, f"ndim of tensor {name!r}"))
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of tensor {name!r}"))
             payload = read(8 * math.prod(shape), f"payload of tensor {name!r}")

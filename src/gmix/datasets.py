@@ -19,7 +19,6 @@ radius and carry ground-truth flags, so detector quality is measurable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -248,48 +247,3 @@ def augment_strong(
     out = np.where(rng.random(x.shape) < drop, 0.0, out)
     return out * rng.uniform(1.0 - jitter, 1.0 + jitter, size=x.shape)
 
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset as CSV: feature columns, label, split, outlier flag."""
-    dim = dataset.features.shape[1]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"f{i}" for i in range(dim)] + ["label", "split", "outlier"])
-        for row, label, split, flag in zip(
-            dataset.features, dataset.labels, dataset.split, dataset.outlier
-        ):
-            writer.writerow(
-                [f"{v:.17g}" for v in row] + [int(label), split, int(flag)]
-            )
-
-
-def load_csv(path, spec: SyntheticSpec | None = None) -> Dataset:
-    """Read a dataset written by :func:`save_csv`."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        dim = sum(1 for name in header if name.startswith("f"))
-        rows = list(reader)
-    features = np.array([[float(v) for v in r[:dim]] for r in rows])
-    labels = np.array([int(r[dim]) for r in rows])
-    split = np.array([r[dim + 1] for r in rows])
-    outlier = np.array([bool(int(r[dim + 2])) for r in rows])
-    clean = features[(split != "test") & ~outlier]
-    feature_scale = np.maximum(clean.std(axis=0), 1e-12)
-    if spec is None:
-        spec = SyntheticSpec(
-            n_classes=int(labels.max()) + 1,
-            ambient_dim=dim,
-            n_unlabeled=int((split == "unlabeled").sum()),
-            n_test=int((split == "test").sum()),
-            labels_per_class=max(
-                1, int((split == "labeled").sum()) // (int(labels.max()) + 1)
-            ),
-        )
-    # class means stand in for the lifted centers, which the CSV lacks
-    centers = np.stack([
-        features[(labels == c) & ~outlier].mean(axis=0)
-        if ((labels == c) & ~outlier).any() else np.zeros(dim)
-        for c in range(spec.n_classes)
-    ])
-    return Dataset(spec, features, labels, split, outlier, feature_scale, centers)

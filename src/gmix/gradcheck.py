@@ -3,7 +3,7 @@
 Each row checks one operation or composite loss: reverse-mode gradients
 against central differences on seeded random inputs, reported as the
 worst relative error. Inputs are kept away from kinks (the rectifier
-corner, tied maxima) where central differences are meaningless.
+corner) where central differences are meaningless.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ def _op_rows(rng) -> list[CheckRow]:
     a = Parameter(_away_from_zero(rng, (3, 4)))
     b = Parameter(_away_from_zero(rng, (3, 4)))
     row = Parameter(_away_from_zero(rng, (4,)))
-    pos = Parameter(rng.uniform(0.5, 2.0, (3, 4)))
+    # This draw and the last one fed rows of ops since removed (log, max);
+    # they stay so that every later row sees the same random inputs.
+    rng.uniform(0.5, 2.0, (3, 4))
     m1 = Parameter(rng.uniform(-2, 2, (3, 4)))
     m2 = Parameter(rng.uniform(-2, 2, (4, 2)))
-    spread = Parameter(np.linspace(-2.0, 2.0, 12).reshape(3, 4) + rng.uniform(-0.05, 0.05, (3, 4)))
+    rng.uniform(-0.05, 0.05, (3, 4))
 
     def check(name, fn, params):
         return CheckRow(name, finite_diff_check(fn, params))
@@ -60,13 +62,11 @@ def _op_rows(rng) -> list[CheckRow]:
         check("div", on_tape(lambda t: (a.use(t) / b.use(t)).sum()), [a, b]),
         check("matmul", on_tape(lambda t: ((m1.use(t) @ m2.use(t)) ** 2).sum()), [m1, m2]),
         check("exp", on_tape(lambda t: ad.exp(a.use(t)).sum()), [a]),
-        check("log", on_tape(lambda t: ad.log(pos.use(t)).sum()), [pos]),
         check("powi", on_tape(lambda t: (a.use(t) ** 3).sum()), [a]),
         check("neg", on_tape(lambda t: (-a.use(t) * b.use(t)).sum()), [a, b]),
         check("leaky_relu", on_tape(lambda t: (ad.leaky_relu(a.use(t)) ** 2).sum()), [a]),
         check("sum", on_tape(lambda t: (a.use(t).sum(axis=0) ** 2).sum()), [a]),
         check("mean", on_tape(lambda t: (a.use(t).mean(axis=1) ** 2).sum()), [a]),
-        check("max", on_tape(lambda t: (spread.use(t).max(axis=1) ** 2).sum()), [spread]),
         check("logsumexp", on_tape(lambda t: ad.logsumexp(a.use(t), axis=1).sum()), [a]),
         check("reshape", on_tape(lambda t: (a.use(t).reshape((4, 3)) ** 2).sum()), [a]),
     ]

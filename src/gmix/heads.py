@@ -41,6 +41,8 @@ from .autodiff import (
     Tensor,
     _check_finite,
     _join_tape,
+    _leaky,
+    _logsumexp_kept,
     _matmul_data,
     _result,
     _unbroadcast,
@@ -120,10 +122,11 @@ class Backbone:
 def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor:
     """``leaky_relu(h @ w + b, slope)`` as one tape record; ``h @ w + b`` if slope is None.
 
-    The forward adds the bias into the matmul's result and rectifies it in
-    place. One finiteness check after the bias add stands for the op-by-op
-    chain's two: a non-finite product stays non-finite after adding a
-    bias, so only when the check fails is the product recomputed, to name
+    The forward adds the bias into the matmul's result in place and
+    rectifies it with ``autodiff._leaky``, as ``leaky_relu`` does. One
+    finiteness check after the bias add stands for the op-by-op chain's
+    two: a non-finite product stays non-finite after adding a bias, so
+    only when the check fails is the product recomputed, to name
     ``matmul`` or ``add`` as the chain did. The rectifier cannot make a
     finite value non-finite. For a slope in [0, 1] the output is positive
     exactly where the sum was, so the hand-derived reverse pass masks by
@@ -140,7 +143,7 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
         _check_finite(h.data @ w.data, "matmul")
         raise
     if slope is not None:
-        np.maximum(data, np.multiply(data, slope), out=data)
+        data = _leaky(data, slope)
 
     memo: dict = {}
 
@@ -253,21 +256,19 @@ def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
 
     One tape record past the class scores: the chain ``scores -
     logsumexp(scores, axis=1, keepdims=True)``, with its arithmetic and
-    its finiteness checks, named ``logsumexp`` and ``sub``. The reverse
-    pass gives the scores what the chain's two records deposited, in their
-    order: ``g``, plus the row sum of ``-g`` spread by the softmax.
+    its finiteness checks, named ``logsumexp`` and ``sub``; the logsumexp
+    is ``autodiff.logsumexp``'s own forward, ``_logsumexp_kept``. The
+    reverse pass gives the scores what the chain's two records deposited,
+    in their order: ``g``, plus the row sum of ``-g`` spread by the
+    softmax.
     """
     z = z if isinstance(z, Tensor) else Tensor(z)
     _check_width(head.latent_dim, z)
     scores = head.class_log_scores(z, tape)
-    x = scores.data
-    m = np.max(x, axis=1, keepdims=True)
-    shifted = np.exp(x - m)
-    total = shifted.sum(axis=1, keepdims=True)
-    lse = np.log(total) + m
+    lse, shifted, total = _logsumexp_kept(scores.data, 1)
     _check_finite(lse, "logsumexp")
     with np.errstate(all="ignore"):
-        data = np.subtract(x, lse)
+        data = np.subtract(scores.data, lse)
     _check_finite(data, "sub")
     softmax = shifted / total if scores.tape is not None else None
     return _result(data, scores.tape,

@@ -382,16 +382,13 @@ def _discrepancy(x: np.ndarray, w: np.ndarray | None, order: int,
     return per_group * mask, est.active, vjp_x, vjp_w
 
 
-def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int,
-                       chain: list[np.ndarray] | None = None):
+def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
     """Weighted order-p moment discrepancy of each population, one tape record.
 
     ``pops`` (n, G, dim) are the centered samples and ``weights`` (n, G)
-    their responsibilities (None means unit weights). ``chain`` is
-    ``_product_chain(pops.data, q)`` for some q >= order, so the orders of
-    one loss share one chain; without it, the call builds its own. The
-    moment of each index multiset is the weighted mean of its product; the
-    discrepancy sums coef * (moment - target)**2 over the multisets. Returns
+    their responsibilities (None means unit weights). The moment of each
+    index multiset is the weighted mean of its product; the discrepancy
+    sums coef * (moment - target)**2 over the multisets. Returns
     ``(per_group, active)``: a (G,) tensor with starved populations masked
     to zero, and the mask of the survivors the caller averages over.
 
@@ -406,7 +403,7 @@ def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int,
     config) gives bit-identical results; orders 2..4 differ in the last bits.
     """
     w = None if weights is None else weights.data
-    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order, chain)
+    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order)
     routes = [(pops, vjp_x)]
     if weights is not None:
         routes.append((weights, vjp_w))

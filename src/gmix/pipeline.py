@@ -168,7 +168,6 @@ class UnlabeledBatch:
     weak: np.ndarray
     strong: np.ndarray
     true_labels: np.ndarray
-    outlier_flags: np.ndarray
 
 
 @dataclass
@@ -234,7 +233,6 @@ def sample_unlabeled(dataset: Dataset, rng: np.random.Generator,
         weak=augment_weak(raw, dataset.feature_scale, rng),
         strong=augment_strong(raw, dataset.feature_scale, rng),
         true_labels=dataset.unlabeled_y[idx],
-        outlier_flags=dataset.unlabeled_outlier[idx],
     )
 
 

@@ -97,15 +97,6 @@ class TestMap:
         backward(out.sum())
         np.testing.assert_array_equal(p.grad, [6.0])
 
-    def test_log_exp_roundtrip(self, rng):
-        x = rng.uniform(-2, 2, 10)
-        out = ad.log(ad.exp(Tensor(x)))
-        np.testing.assert_allclose(out.data, x, atol=1e-12)
-
-    def test_log_domain_violation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ad.log(Tensor([1.0, 0.0]))
-
     def test_leaky_relu_slope(self):
         tape, p, t = taped([-2.0, 3.0])
         out = ad.leaky_relu(t)
@@ -139,11 +130,6 @@ class TestReduce:
         tape, p, t = taped([1.0, 2.0, 3.0])
         backward(ad.tmean(t))
         np.testing.assert_allclose(p.grad, [1 / 3, 1 / 3, 1 / 3])
-
-    def test_max_gradient_routes_to_argmax(self):
-        tape, p, t = taped([[1.0, 5.0], [7.0, 2.0]])
-        backward(ad.tmax(t, axis=1).sum())
-        np.testing.assert_array_equal(p.grad, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_empty_mean_raises(self):
         with pytest.raises(ValueError, match="empty"):

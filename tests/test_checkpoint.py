@@ -131,3 +131,43 @@ class TestCorruptLengths:
         config_path.write_text("data.unlabeled = 300\ndata.test = 100\n")
         assert main(["eval", str(config_path), "--checkpoint", str(corrupt)]) == 1
         assert capsys.readouterr().err.startswith("error: truncated checkpoint")
+
+
+class TestRepeatedName:
+    """A file that names a tensor twice is rejected, not loaded last-copy-wins.
+
+    The file is a valid ``Backbone(4, 2)`` + kmeans checkpoint with a second
+    ``head.centers`` of 7.0s appended and the tensor count raised to 8, so
+    it matches the model in every other way.
+    """
+
+    @pytest.fixture
+    def repeated(self, tmp_path):
+        backbone = Backbone(4, latent_dim=2, seed=0)
+        head = init_head("kmeans", 3, 2, seed=0)
+        path = tmp_path / "repeated.bin"
+        arrays = model_arrays(backbone, head)
+        save_checkpoint(path, arrays)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<I", data, 12) == (7,)
+        struct.pack_into("<I", data, 12, 8)
+        name = b"head.centers"
+        extra = np.full(arrays["head.centers"].shape, 7.0)
+        data += struct.pack("<I", len(name)) + name + struct.pack("<I", 2)
+        data += struct.pack("<2Q", *extra.shape) + extra.tobytes()
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_load_checkpoint_names_the_repeated_tensor(self, repeated):
+        with pytest.raises(ValueError, match="checkpoint names tensor 'head.centers' twice"):
+            load_checkpoint(repeated)
+
+    def test_eval_exits_1_with_an_error_line(self, repeated, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            "head.kind = kmeans\nhead.latent_dim = 2\ndata.ambient = 4\ndata.classes = 3\n"
+            "data.unlabeled = 300\ndata.test = 100\n"
+        )
+        assert main(["eval", str(config_path), "--checkpoint", str(repeated)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: checkpoint names tensor 'head.centers' twice")

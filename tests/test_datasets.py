@@ -1,5 +1,5 @@
 """Generator contracts: determinism, split hygiene, outlier injection,
-augmentation statistics, and CSV round-trips."""
+and augmentation statistics."""
 
 import dataclasses
 import itertools
@@ -18,8 +18,6 @@ from gmix.datasets import (
     augment_strong,
     augment_weak,
     generate,
-    load_csv,
-    save_csv,
 )
 
 DEFAULT = SyntheticSpec()
@@ -274,13 +272,9 @@ class TestSplitCache:
     SPEC = SyntheticSpec(n_unlabeled=300, n_test=60, outlier_frac=0.1, seed=4,
                          n_classes=3, labels_per_class=2)
 
-    @pytest.fixture(params=["generate", "load_csv"])
-    def dataset(self, request, tmp_path):
-        ds = generate(self.SPEC)
-        if request.param == "load_csv":
-            save_csv(ds, tmp_path / "data.csv")
-            ds = load_csv(tmp_path / "data.csv")
-        return ds
+    @pytest.fixture
+    def dataset(self):
+        return generate(self.SPEC)
 
     @pytest.mark.parametrize("attr, column, name", SPLIT_ARRAYS)
     def test_each_split_is_its_masked_rows(self, dataset, attr, column, name):
@@ -300,24 +294,3 @@ class TestSplitCache:
         with pytest.raises(dataclasses.FrozenInstanceError):
             dataset.split = np.full(dataset.split.shape, "test")
 
-
-class TestCsvRoundtrip:
-    def test_exact_roundtrip(self, tmp_path):
-        ds = generate(SyntheticSpec(n_unlabeled=200, n_test=50, seed=6,
-                                    n_classes=4, labels_per_class=3))
-        path = tmp_path / "data.csv"
-        save_csv(ds, path)
-        back = load_csv(path, spec=ds.spec)
-        np.testing.assert_array_equal(back.features, ds.features)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        np.testing.assert_array_equal(back.split, ds.split)
-        np.testing.assert_array_equal(back.outlier, ds.outlier)
-
-    def test_header_schema(self, tmp_path):
-        ds = generate(SyntheticSpec(n_unlabeled=100, n_test=20, seed=0,
-                                    n_classes=2, kind="two-moons", labels_per_class=2,
-                                    ambient_dim=6))
-        path = tmp_path / "data.csv"
-        save_csv(ds, path)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join([f"f{i}" for i in range(6)] + ["label", "split", "outlier"])

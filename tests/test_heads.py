@@ -537,6 +537,41 @@ class TestFusedLogConditional:
         for a, b in zip(*results):
             assert bits(a) == bits(b)
 
+    def test_shared_logsumexp_equals_the_formula_bitwise(self, rng):
+        """``logsumexp`` and ``log_conditional`` run one max-shifted forward;
+        both equal it written out, forward and reverse, also near +-1e300."""
+        x = rng.normal(scale=30.0, size=(40, 5))
+        x[0] = [1e300, -1e300, 0.0, 1e300, -5.0]
+        x[1] = -1e300
+        x[2] = [9.99e299, 1e300, 1.5, -1e300, 1e300]
+        x[3] = [-1e300, -9.99e299, -1e300, -2e299, -1e300]
+        w = rng.normal(size=x.shape)
+        m = x.max(axis=1, keepdims=True)
+        shifted = np.exp(x - m)
+        total = shifted.sum(axis=1, keepdims=True)
+        lse = np.log(total) + m
+        softmax = shifted / total
+
+        p = Parameter(x)
+        tape = Tape()
+        out = logsumexp(p.use(tape), axis=1, keepdims=True)
+        backward(tsum(out))
+        assert bits(out.data) == bits(lse)
+        assert bits(p.grad) == bits(np.ones_like(lse) * softmax)
+
+        class FixedScores:
+            latent_dim = 1
+
+            def class_log_scores(self, z, tape=None):
+                return p.use(tape)
+
+        p.zero_grad()
+        tape = Tape()
+        lc = log_conditional(FixedScores(), Tensor(np.zeros((40, 1))), tape)
+        backward(tsum(lc * Tensor(w)))
+        assert bits(lc.data) == bits(x - lse)
+        assert bits(p.grad) == bits(w + (-w).sum(axis=1, keepdims=True) * softmax)
+
     def test_one_record_past_the_scores(self):
         tape = Tape()
         log_conditional(self.head("aagmm", 4), Tensor(np.zeros((2, 3)), tape), tape)

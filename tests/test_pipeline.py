@@ -147,6 +147,22 @@ class TestMaskingSemantics:
         assert stats.loss_mom_total == 0.0
         assert stats.outlier_rate == 1.0
 
+    @pytest.mark.parametrize("exclude", [True, False])
+    def test_gate_exclude_mom_decides_the_moment_loss(self, exclude):
+        """gate.exclude_mom = false keeps gate-rejected samples in the moment loss."""
+        config = small_config(gate=GateConfig(enabled=True, mode="max", exclude_from_mom=exclude))
+        dataset = generate(SMALL_DATA)
+        state = self._gate_all_excluded(config, dataset)
+        labeled = sample_labeled(dataset, state.rng, config)
+        unlabeled = sample_unlabeled(dataset, state.rng, config)
+        zw = state.backbone.embed(Tensor(unlabeled.weak))
+        everyone = np.ones(unlabeled.weak.shape[0], dtype=bool)
+        expected = mom_loss(zw, config.moments, head=state.head, sample_mask=everyone)[0].item()
+        stats = train_step(state, labeled, unlabeled, config)
+        assert stats.outlier_rate == 1.0
+        assert stats.loss_mom_total == (0.0 if exclude else expected)
+        assert expected != 0.0
+
     def test_gate_excluded_sample_has_zero_input_gradient(self):
         """Replicates the unlabeled loss path with the batch features as
         leaves: an excluded sample's rows get exactly zero gradient."""
@@ -218,6 +234,26 @@ class TestStepMechanics:
             )
             assert stats.loss_total == pytest.approx(recomposed, abs=1e-12)
             assert np.isfinite(stats.loss_total)
+
+    def test_strong_mom_view_constrains_the_strong_embedding(self):
+        """mom.view = strong feeds the strong view to the moment loss, also
+        when lambda_u = 0 leaves the strong view otherwise unused."""
+        config = small_config(mom_view="strong", lambda_u=0.0, moments=MomentSpec(max_order=2))
+        dataset = generate(SMALL_DATA)
+        state = init_state(config, dataset)
+        labeled = sample_labeled(dataset, state.rng, config)
+        unlabeled = sample_unlabeled(dataset, state.rng, config)
+        everyone = np.ones(unlabeled.weak.shape[0], dtype=bool)
+
+        def expected(x):
+            z = state.backbone.embed(Tensor(x))
+            return mom_loss(z, config.moments, head=state.head, sample_mask=everyone)[0].item()
+
+        strong, weak = expected(unlabeled.strong), expected(unlabeled.weak)
+        stats = train_step(state, labeled, unlabeled, config)
+        assert stats.loss_unsup == 0.0
+        assert stats.loss_mom_total == strong
+        assert stats.loss_mom_total != weak
 
     def test_velocity_shapes_match_parameters(self):
         config = small_config()
