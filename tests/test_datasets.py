@@ -272,9 +272,20 @@ class TestSplitCache:
     SPEC = SyntheticSpec(n_unlabeled=300, n_test=60, outlier_frac=0.1, seed=4,
                          n_classes=3, labels_per_class=2)
 
-    @pytest.fixture
-    def dataset(self):
-        return generate(self.SPEC)
+    @pytest.fixture(params=["generate", "replace"])
+    def dataset(self, request):
+        ds = generate(self.SPEC)
+        if request.param == "replace":
+            # A new instance built from a dataset whose splits are already
+            # cached selects its own rows, not the old instance's.
+            for attr, _, _ in SPLIT_ARRAYS:
+                getattr(ds, attr)
+            perm = np.random.default_rng(0).permutation(len(ds.split))
+            ds = dataclasses.replace(
+                ds, features=ds.features[perm], labels=ds.labels[perm],
+                split=ds.split[perm], outlier=ds.outlier[perm],
+            )
+        return ds
 
     @pytest.mark.parametrize("attr, column, name", SPLIT_ARRAYS)
     def test_each_split_is_its_masked_rows(self, dataset, attr, column, name):
