@@ -12,7 +12,10 @@ The finiteness check sums the result first: a finite sum proves every
 element finite, since any NaN or infinity makes the sum non-finite. Only
 a non-finite sum is checked element by element, so a finite array whose
 sum overflows still passes (numpy warns about that overflow) and the
-check stays exact.
+check stays exact. One caller defers it: the untaped backbone embed
+checks each row block's output, not each layer, and names the op by
+running a failing block again through the checked layers
+(``heads.Backbone.embed``).
 
 A parameter has one leaf tensor per tape: :meth:`Parameter.use` records
 the leaf at its first use and returns that same tensor on every later use,
@@ -65,15 +68,21 @@ __all__ = [
 ]
 
 
-# Entries per row block of the large elementwise kernels (256 KiB of
-# float64): a block's temporaries are reused from cache instead of being
-# page-faulted in fresh for every full-size array.
+# Default entries per row block (256 KiB of float64), used by the untaped
+# backbone embed and the moment loss's weight gradient: a block's
+# temporaries are reused from cache instead of being page-faulted in fresh
+# for every full-size array. The embed's three layers keep their
+# intermediates in cache only up to about this size: over a 20,000-row pool
+# it took 10.1 / 10.5 / 13.7 / 25.2 ms at 512 / 1,024 / 2,048 / 4,096 rows
+# a block (2 vCPU, numpy 2.4.6). Kernels with another measured optimum pass
+# their own budget to :func:`row_blocks`.
 BLOCK_ENTRIES = 1 << 15
 
 
-def row_blocks(n: int, row_entries: int) -> list[tuple[int, int]]:
-    """Consecutive ``(lo, hi)`` row ranges of about ``BLOCK_ENTRIES`` entries."""
-    rows = max(1, BLOCK_ENTRIES // max(1, row_entries))
+def row_blocks(n: int, row_entries: int,
+               entries: int = BLOCK_ENTRIES) -> list[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` row ranges of about ``entries`` entries each."""
+    rows = max(1, entries // max(1, row_entries))
     return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
@@ -247,9 +256,13 @@ def _join_tape(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def _all_finite(data: np.ndarray) -> bool:
     # Exact, and one reduction on the common path: see the module docstring.
-    if not math.isfinite(data.sum()) and not np.all(np.isfinite(data)):
+    return math.isfinite(data.sum()) or bool(np.all(np.isfinite(data)))
+
+
+def _check_finite(data: np.ndarray, op: str) -> None:
+    if not _all_finite(data):
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 

@@ -13,7 +13,7 @@ hand-derived reverse pass. Taped training, untaped scoring and
 evaluation all run it. Its forward, like the outlier gate's scores, takes
 the weighted squared distances from :func:`squared_distance_blocks`:
 
-- Layout: each row block of about ``autodiff.BLOCK_ENTRIES`` entries is
+- Layout: each row block of about ``DISTANCE_BLOCK_ENTRIES`` entries is
   laid out dimension-major, (D, K, rows), in one reused buffer, so every
   subtract, square and weighting is a long loop along the rows rather
   than K * rows loops of length D. A large pool never builds its full
@@ -25,7 +25,8 @@ the weighted squared distances from :func:`squared_distance_blocks`:
 Likewise each backbone layer, and the linear head, is one dense-layer
 primitive, :func:`_dense_layer`: matmul, bias add and rectifier in one
 tape record. An untaped :meth:`Backbone.embed` runs the whole layer stack
-one row block at a time, so its intermediates stay in cache.
+one row block of about ``autodiff.BLOCK_ENTRIES`` entries at a time, so
+its intermediates stay in cache, and checks each block's output once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .autodiff import (
     Parameter,
     Tape,
     Tensor,
+    _all_finite,
     _check_finite,
     _join_tape,
     _leaky,
@@ -88,38 +90,54 @@ class Backbone:
     def embed(self, x, tape: Tape | None = None) -> Tensor:
         """The latent embedding of each row of ``x``, shape (n, latent_dim).
 
-        A taped call runs the layers once over all rows. An untaped one
-        runs the whole layer stack one row block at a time, sized for the
-        widest layer, and writes each block into one output, so no
-        full-size intermediate leaves the cache; each row's value does not
-        depend on the blocking.
+        A taped call runs the layers once over all rows, one checked record
+        per layer. An untaped one runs the whole layer stack one row block at
+        a time, sized for the widest layer, and writes each block into one
+        output, so no full-size intermediate leaves the cache; each row's
+        value does not depend on the blocking.
+
+        The untaped blocks skip the layers' finiteness checks and check each
+        block's output once. That is exact: a non-finite entry in a row of
+        one layer's output makes every entry of that row of the next
+        product non-finite (inf * 0 and inf - inf are NaN, inf plus a finite
+        value is inf), and the bias add and the rectifier keep it so. A
+        block that fails is run again through the checked layers, which
+        raise the error naming ``matmul`` or ``add``.
         """
         h = x if isinstance(x, Tensor) else Tensor(x)
         last = len(self.weights) - 1
         layers = [(w.use(tape), b.use(tape), LEAKY_SLOPE if i < last else None)
                   for i, (w, b) in enumerate(zip(self.weights, self.biases))]
-        blocks = [(0, None)]
+
+        def run(z: Tensor, check: bool = True) -> Tensor:
+            for w, b, slope in layers:
+                z = _dense_layer(z, w, b, slope, check)
+            return z
+
+        blocks = []
         if tape is None and h.tape is None and h.ndim == 2:
-            blocks = row_blocks(h.shape[0], max(w.shape[1] for w in self.weights)) or blocks
+            blocks = row_blocks(h.shape[0], max(w.shape[1] for w in self.weights))
             if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] == 1:
                 # numpy multiplies a lone row by BLAS's matrix-vector routine,
                 # which rounds differently from the matrix product; keep it in
                 # the block before.
                 blocks[-2:] = [(blocks[-2][0], blocks[-1][1])]
+        if len(blocks) < 2:
+            return run(h)
         out = None
         for lo, hi in blocks:
-            z = h if len(blocks) == 1 else Tensor(h.data[lo:hi])
-            for w, b, slope in layers:
-                z = _dense_layer(z, w, b, slope)
-            if len(blocks) == 1:
-                return z
+            with np.errstate(all="ignore"):  # a failing block warns in its checked run
+                z = run(Tensor(h.data[lo:hi]), check=False)
+            if not _all_finite(z.data):
+                z = run(Tensor(h.data[lo:hi]))  # raises, naming the op
             if out is None:
                 out = np.empty((h.shape[0], z.shape[1]))
             out[lo:hi] = z.data
         return Tensor(out)
 
 
-def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor:
+def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None,
+                 check: bool = True) -> Tensor:
     """``leaky_relu(h @ w + b, slope)`` as one tape record; ``h @ w + b`` if slope is None.
 
     The forward adds the bias into the matmul's result in place and
@@ -127,8 +145,10 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
     finiteness check after the bias add stands for the op-by-op chain's
     two: a non-finite product stays non-finite after adding a bias, so
     only when the check fails is the product recomputed, to name
-    ``matmul`` or ``add`` as the chain did. The rectifier cannot make a
-    finite value non-finite. For a slope in [0, 1] the output is positive
+    ``matmul`` or ``add`` as the chain did. ``check=False`` skips it, for a
+    caller that checks a later result instead (see :meth:`Backbone.embed`).
+    The rectifier cannot make a finite value non-finite. Without a tape the
+    result is a bare tensor. For a slope in [0, 1] the output is positive
     exactly where the sum was, so the hand-derived reverse pass masks by
     the output where the chain masked by the sum: the sum's gradient is
     ``where(out > 0, g, g * slope)``, the chain's ``g * where(sum > 0, 1,
@@ -137,13 +157,17 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
     """
     data = _matmul_data(h, w, check=False)
     np.add(data, b.data, out=data)
-    try:
-        _check_finite(data, "add")
-    except NonFiniteError:
-        _check_finite(h.data @ w.data, "matmul")
-        raise
+    if check:
+        try:
+            _check_finite(data, "add")
+        except NonFiniteError:
+            _check_finite(h.data @ w.data, "matmul")
+            raise
     if slope is not None:
         data = _leaky(data, slope)
+    tape = _join_tape(h, w, b)
+    if tape is None:
+        return Tensor(data)
 
     memo: dict = {}
 
@@ -153,7 +177,7 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None) -> Tensor
             memo.update(g=g, d=g if slope is None else np.where(data > 0.0, g, g * slope))
         return memo["d"]
 
-    return _result(data, _join_tape(h, w, b),
+    return _result(data, tape,
                    (w, lambda g: h.data.T @ d_sum(g)),
                    (b, lambda g: d_sum(g).sum(axis=0)),
                    (h, lambda g: d_sum(g) @ w.data.T))
@@ -285,13 +309,24 @@ def _check_width(width: int, z) -> None:
         raise ValueError(f"expected embeddings of width {width}, got shape {z.shape}")
 
 
+# Entries per row block of :func:`squared_distance_blocks`: one reused
+# 2 MiB (D, K, rows) buffer, 4,096 rows at D = K = 8. Its short
+# elementwise loops cost per call, so it wants longer blocks than
+# ``autodiff.BLOCK_ENTRIES``: a score-pool pass over 20,000 rows took 30.95
+# / 29.09 / 30.10 / 26.44 / 26.00 / 26.48 ms at 512 / 1,024 / 2,048 / 4,096
+# / 8,192 / 16,384 rows a block, and 26.58 ms in one block (2 vCPU, numpy
+# 2.4.6). This is the smallest size on that plateau; one block for the
+# whole pool would add 10 MiB to the peak.
+DISTANCE_BLOCK_ENTRIES = 1 << 18
+
+
 def squared_distance_blocks(z: np.ndarray, centers: np.ndarray, weights=None,
                             weigh=np.multiply):
     """Yield ``(lo, hi, quad)``, the weighted squared distances of rows lo..hi.
 
     ``quad[k, i - lo]`` is the sum over d of ``weigh((z[i, d] - centers[k, d])
     ** 2, weights[k, d])``, or of the bare squares when ``weights`` is None.
-    The rows come in blocks of about ``autodiff.BLOCK_ENTRIES`` entries.
+    The rows come in blocks of about ``DISTANCE_BLOCK_ENTRIES`` entries.
     Each block is laid out dimension-major in one reused (D, K, rows)
     buffer, so every subtract, square and weighting runs along the rows,
     and :func:`_pairwise_sum0` sums over D in numpy's order: each value
@@ -301,7 +336,7 @@ def squared_distance_blocks(z: np.ndarray, centers: np.ndarray, weights=None,
     """
     _check_width(centers.shape[1], z)
     k, d = centers.shape
-    blocks = row_blocks(z.shape[0], centers.size)
+    blocks = row_blocks(z.shape[0], centers.size, DISTANCE_BLOCK_ENTRIES)
     buf = np.empty((d, k, blocks[0][1] if blocks else 0))
     centers_t = centers.T[:, :, None]
     weights_t = None if weights is None else weights.T[:, :, None]

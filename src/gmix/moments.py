@@ -13,13 +13,12 @@ The tensors are symmetric under any permutation of their indices, so the
 loss is evaluated over the C(D+p-1, p) sorted index multisets instead of
 the D^p entries (330 instead of 4096 at D=8, p=4), with each multiset's
 multiplicity folded into its weight: the same sum in a different order.
-Each order's discrepancy has a hand-derived reverse pass, which
-:func:`moment_discrepancy` records as one primitive. :func:`mom_loss`
-records the whole loss over all orders as one tape record past the
-centering: it repeats the op-by-op chain of per-order records, sums,
-divisions, weights and adds, forward and reverse, so it gives the same
-bits. The dense tensors of :func:`moment_targets` and
-:func:`weight_tensor` remain only as the oracle the tests check against.
+Each order's discrepancy has a hand-derived reverse pass
+(:func:`_discrepancy`). :func:`mom_loss` records the whole loss over all
+orders as one tape record past the centering: it repeats the op-by-op
+chain of per-order records, sums, divisions, weights and adds, forward and
+reverse, so it gives the same bits. The dense target and weight tensors,
+and the one-record-per-order discrepancy, live in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -128,37 +126,6 @@ def target_moment(indices: tuple[int, ...]) -> float:
             return 0.0
         out *= double_factorial(count - 1)
     return out
-
-
-@lru_cache(maxsize=None)
-def moment_targets(order: int, dim: int) -> np.ndarray:
-    """Dense target tensor with ``order`` axes of extent ``dim`` (the oracle)."""
-    arr = np.zeros((dim,) * order)
-    for idx in itertools.product(range(dim), repeat=order):
-        arr[idx] = target_moment(idx)
-    arr.setflags(write=False)
-    return arr
-
-
-def class_weight(p: int, dim: int, h: int) -> Fraction:
-    """Exact per-entry weight for class h: the reciprocal of its size.
-
-    Kept rational so the defining property (a class's weights sum to
-    exactly 1) holds exactly; the dense float tensor realizes it to
-    within one rounding of each entry.
-    """
-    return Fraction(1, class_size(p, dim, h))
-
-
-@lru_cache(maxsize=None)
-def weight_tensor(order: int, dim: int) -> np.ndarray:
-    """Dense per-entry weights: the reciprocal of each entry's class size (the oracle)."""
-    sizes = {h: class_size(order, dim, h) for h in range(order)}
-    arr = np.zeros((dim,) * order)
-    for idx in itertools.product(range(dim), repeat=order):
-        arr[idx] = 1.0 / sizes[hyperdiag_count(idx)]
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass
@@ -285,7 +252,7 @@ def multisets(order: int, dim: int) -> Multisets:
 
 
 class _Estimate(NamedTuple):
-    """Forward intermediates of :func:`moment_discrepancy`."""
+    """Forward intermediates of :func:`_discrepancy`."""
 
     lower: np.ndarray      # (n, G, V) products of the order-(p-1) multisets
     prod: np.ndarray       # (n, G, U) products of the order-p multisets
@@ -342,10 +309,23 @@ def _discrepancy(x: np.ndarray, w: np.ndarray | None, order: int,
                  chain: list[np.ndarray] | None = None):
     """Forward and reverse pass of one order: ``(per_group, active, vjp_x, vjp_w)``.
 
-    ``per_group`` is the (G,) discrepancy with starved populations masked
-    to zero; ``vjp_x`` and ``vjp_w`` map its gradient to those of the
-    samples ``x`` and the weights ``w`` (None means unit weights). See
-    :func:`moment_discrepancy`.
+    ``x`` (n, G, dim) are the centered samples and ``w`` (n, G) their
+    responsibilities (None means unit weights). The moment of each index
+    multiset is the weighted mean of its product; the discrepancy sums
+    coef * (moment - target)**2 over the multisets. ``per_group`` is the
+    (G,) discrepancy with starved populations masked to zero, ``active``
+    the mask of the survivors the caller averages over, and ``vjp_x`` and
+    ``vjp_w`` map the gradient of ``per_group`` to those of ``x`` and ``w``.
+
+    The reverse pass is hand-derived. With s the gradient of the weighted
+    sums, axis d of sample i receives w_i * sum over the order-(p-1)
+    multisets v of prod_v(i) * count * s[v + {d}]: a batch of
+    (n, V) @ (V, dim) matmuls, one per population. The weights receive the
+    gradient of both the weighted sums and the mass.
+
+    The sums over samples and over multisets keep the summation order of
+    the dense outer-product chain this replaced, so order 1 (the default
+    config) gives bit-identical results; orders 2..4 differ in the last bits.
     """
     n, groups, dim = x.shape
     table = multisets(order, dim)
@@ -382,35 +362,6 @@ def _discrepancy(x: np.ndarray, w: np.ndarray | None, order: int,
     return per_group * mask, est.active, vjp_x, vjp_w
 
 
-def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
-    """Weighted order-p moment discrepancy of each population, one tape record.
-
-    ``pops`` (n, G, dim) are the centered samples and ``weights`` (n, G)
-    their responsibilities (None means unit weights). The moment of each
-    index multiset is the weighted mean of its product; the discrepancy
-    sums coef * (moment - target)**2 over the multisets. Returns
-    ``(per_group, active)``: a (G,) tensor with starved populations masked
-    to zero, and the mask of the survivors the caller averages over.
-
-    The reverse pass is hand-derived. With s the gradient of the weighted
-    sums, axis d of sample i receives w_i * sum over the order-(p-1)
-    multisets v of prod_v(i) * count * s[v + {d}]: a batch of
-    (n, V) @ (V, dim) matmuls, one per population. The weights receive the
-    gradient of both the weighted sums and the mass.
-
-    The sums over samples and over multisets keep the summation order of
-    the dense outer-product chain this replaced, so order 1 (the default
-    config) gives bit-identical results; orders 2..4 differ in the last bits.
-    """
-    w = None if weights is None else weights.data
-    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order)
-    routes = [(pops, vjp_x)]
-    if weights is not None:
-        routes.append((weights, vjp_w))
-    tape = _join_tape(pops) if weights is None else _join_tape(pops, weights)
-    return _result(data, tape, *routes), active
-
-
 def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     """Weighted moment-matching loss, differentiable through z and the head.
 
@@ -423,7 +374,7 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     over populations, the division by the active count, the product with
     the order's weight and the running add. Its reverse pass gives each
     order ``(g * weight) / count``, spread over the populations, through
-    that order's :func:`moment_discrepancy` reverse pass, and accumulates
+    that order's :func:`_discrepancy` reverse pass, and accumulates
     the results in the order the chain's replay did, from the highest
     order down. In global mode order 1 measures the removed mean, so its
     gradient goes to ``mean_offset``.

@@ -8,8 +8,9 @@ labeled samples can ever be flagged. Scoring is detached from training:
 everything here is plain numpy on frozen head parameters.
 
 Scores take the squared distances from ``heads.squared_distance_blocks``:
-row blocks laid out dimension-major, (D, K, rows), in one reused buffer,
-summed over D in numpy's pairwise order. The max or min over clusters is
+row blocks of about ``heads.DISTANCE_BLOCK_ENTRIES`` entries laid out
+dimension-major, (D, K, rows), in one reused buffer, summed over D in
+numpy's pairwise order. The max or min over clusters is
 taken before the square root, which is monotone, so each row needs one
 root. Every score equals the dense formula's bit for bit, and a large pool
 never builds its full (n, K, D) residuals.

@@ -22,17 +22,15 @@ from gmix.heads import AagmmHead, KmeansHead, conditional, log_joint
 from gmix.moments import (
     MomentSpec,
     class_size,
-    class_weight,
     hyperdiag_count,
     mom_loss,
-    moment_targets,
     target_moment,
-    weight_tensor,
 )
 from gmix.outlier import fit_threshold, mask, nearest_rank_percentile
 from gmix.pipeline import GateConfig, RunConfig, run
 from test_heads import sigmoid_equivalence_params
 from test_metrics import outlier_pr
+from test_moments import class_weight, moment_targets, weight_tensor
 
 # Frozen from scripts/mom_bound_oracle.py (20 repeats, n=50000, dim=8,
 # orders 1-2, global mode): mean 4.978e-05, sd 1.332e-05.

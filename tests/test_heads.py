@@ -25,7 +25,9 @@ from gmix.autodiff import (
     row_blocks,
     tsum,
 )
+from gmix import heads
 from gmix.heads import (
+    DISTANCE_BLOCK_ENTRIES,
     LEAKY_SLOPE,
     AagmmHead,
     Backbone,
@@ -317,9 +319,9 @@ class TestFusedLogJoint:
 
     @staticmethod
     def row_counts(classes, dim):
-        """0 rows, 1 row, and two full row blocks plus a remainder."""
-        spanning = 2 * (BLOCK_ENTRIES // (classes * dim)) + 7
-        assert len(row_blocks(spanning, classes * dim)) == 3
+        """0 rows, 1 row, and two full distance blocks plus a remainder."""
+        spanning = 2 * (DISTANCE_BLOCK_ENTRIES // (classes * dim)) + 7
+        assert len(row_blocks(spanning, classes * dim, DISTANCE_BLOCK_ENTRIES)) == 3
         return [0, 1, spanning]
 
     @staticmethod
@@ -636,3 +638,57 @@ class TestBlockedEmbed:
         x[2 * self.ROWS + 5] = 1e308
         with pytest.raises(NonFiniteError, match="add produced"):
             backbone.embed(x)
+
+    # An untaped block checks only its output; a block that fails runs
+    # again through the checked layers, to name the op the layers name.
+
+    @staticmethod
+    def second_layer_fault(weight, bias):
+        """A backbone whose second hidden layer faults on row 2 * ROWS + 5 only.
+
+        That row's first layer is finite, 1.6e9 per entry; its second
+        layer's product is 1.024e11 times ``weight`` per entry, to which
+        ``bias`` is added. The last layer's weights are zero, so every other
+        row ends finite and the faulty one ends NaN (inf * 0).
+        """
+        backbone = Backbone(16, 8, seed=0)
+        backbone.weights[0].value[...] = 0.01
+        backbone.weights[1].value[...] = weight
+        backbone.biases[1].value[...] = bias
+        backbone.weights[2].value[...] = 0.0
+        x = np.zeros((3 * TestBlockedEmbed.ROWS, 16))
+        x[2 * TestBlockedEmbed.ROWS + 5] = 1e10
+        first = Tensor(x) @ backbone.weights[0].value + backbone.biases[0].value
+        assert np.all(np.isfinite(first.data))
+        return backbone, x
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_second_layer_matmul_overflow_in_a_later_block_names_matmul(self):
+        backbone, x = self.second_layer_fault(1e300, 0.0)
+        for embed in (backbone.embed, lambda x: chain_embed(backbone, x)):
+            with pytest.raises(NonFiniteError, match="matmul produced"):
+                embed(x)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_second_layer_bias_overflow_in_a_later_block_names_add(self):
+        backbone, x = self.second_layer_fault(1e297, 1.7e308)
+        for embed in (backbone.embed, lambda x: chain_embed(backbone, x)):
+            with pytest.raises(NonFiniteError, match="add produced"):
+                embed(x)
+
+    def test_nan_input_row_in_a_later_block_names_matmul(self, rng):
+        backbone = Backbone(16, 8, seed=0)
+        x = rng.normal(size=(3 * self.ROWS, 16))
+        x[2 * self.ROWS + 5, 3] = np.nan
+        for embed in (backbone.embed, lambda x: chain_embed(backbone, x)):
+            with pytest.raises(NonFiniteError, match="matmul produced"):
+                embed(x)
+
+    def test_finite_blocks_take_no_checked_run(self, monkeypatch, rng):
+        backbone = Backbone(16, 8, seed=0)
+        x = rng.normal(size=(3 * self.ROWS, 16))
+        checked = []
+        monkeypatch.setattr(heads, "_check_finite",
+                            lambda data, op: checked.append(op))
+        backbone.embed(x)
+        assert checked == []

@@ -5,6 +5,8 @@ multiset primitive against the dense outer-product chain it replaced."""
 
 import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from gmix.autodiff import (
     Parameter,
     Tape,
     Tensor,
+    _join_tape,
+    _result,
     backward,
     finite_diff_check,
     powi,
@@ -27,20 +31,66 @@ from gmix.heads import init_head
 from gmix.moments import (
     _MIN_CLUSTER_MASS,
     MomentSpec,
+    _discrepancy,
     _estimate,
     centralize,
     class_size,
-    class_weight,
     double_factorial,
     hyperdiag_count,
     mom_loss,
-    moment_discrepancy,
-    moment_targets,
     multiset_tuples,
     multisets,
     target_moment,
-    weight_tensor,
 )
+
+
+# The dense oracle: the target and weight tensors over all dim**order
+# entries, and each order's discrepancy as its own tape record.
+
+@lru_cache(maxsize=None)
+def moment_targets(order: int, dim: int) -> np.ndarray:
+    """Dense target tensor with ``order`` axes of extent ``dim``."""
+    arr = np.zeros((dim,) * order)
+    for idx in itertools.product(range(dim), repeat=order):
+        arr[idx] = target_moment(idx)
+    arr.setflags(write=False)
+    return arr
+
+
+def class_weight(p: int, dim: int, h: int) -> Fraction:
+    """Exact per-entry weight for class h: the reciprocal of its size.
+
+    Kept rational so the defining property (a class's weights sum to
+    exactly 1) holds exactly; the dense float tensor realizes it to
+    within one rounding of each entry.
+    """
+    return Fraction(1, class_size(p, dim, h))
+
+
+@lru_cache(maxsize=None)
+def weight_tensor(order: int, dim: int) -> np.ndarray:
+    """Dense per-entry weights: the reciprocal of each entry's class size."""
+    sizes = {h: class_size(order, dim, h) for h in range(order)}
+    arr = np.zeros((dim,) * order)
+    for idx in itertools.product(range(dim), repeat=order):
+        arr[idx] = 1.0 / sizes[hyperdiag_count(idx)]
+    arr.setflags(write=False)
+    return arr
+
+
+def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
+    """Weighted order-p moment discrepancy of each population, one tape record.
+
+    ``(per_group, active)`` of ``moments._discrepancy``, with ``per_group``
+    a tensor whose reverse pass is that function's.
+    """
+    w = None if weights is None else weights.data
+    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order)
+    routes = [(pops, vjp_x)]
+    if weights is not None:
+        routes.append((weights, vjp_w))
+    tape = _join_tape(pops) if weights is None else _join_tape(pops, weights)
+    return _result(data, tape, *routes), active
 
 
 def enumerate_class_sizes(p, dim):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmix.autodiff import BLOCK_ENTRIES, row_blocks
-from gmix.heads import AagmmHead, KmeansHead
+from gmix import heads
+from gmix.autodiff import BLOCK_ENTRIES, Tensor, row_blocks
+from gmix.heads import DISTANCE_BLOCK_ENTRIES, AagmmHead, KmeansHead
 from gmix.outlier import (
     OutlierGate,
     fit_threshold,
@@ -111,11 +112,32 @@ class TestBlockedScores:
             head = head_with(centers, rng.uniform(0.3, 3.0, (classes, dim)))
         else:
             head = KmeansHead(centers)
-        spanning = 2 * (BLOCK_ENTRIES // centers.size) + 11
-        assert len(row_blocks(spanning, centers.size)) == 3
+        spanning = 2 * (DISTANCE_BLOCK_ENTRIES // centers.size) + 11
+        assert len(row_blocks(spanning, centers.size, DISTANCE_BLOCK_ENTRIES)) == 3
         for n in (0, 1, spanning):
             z = rng.normal(scale=3.0, size=(n, dim))
             assert scores(head, z, mode).tobytes() == dense_scores(head, z, mode).tobytes()
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    def test_outputs_do_not_depend_on_the_block_budget(self, monkeypatch, rng, kind):
+        # Under the default budget of the other row-blocked kernels, the
+        # same rows run in 8x as many, shorter distance blocks.
+        centers = rng.normal(size=(8, 8))
+        if kind == "aagmm":
+            head = head_with(centers, rng.uniform(0.3, 3.0, (8, 8)))
+        else:
+            head = KmeansHead(centers)
+        z = rng.normal(scale=3.0, size=(3 * DISTANCE_BLOCK_ENTRIES // 64 + 5, 8))
+
+        def outputs(budget):
+            monkeypatch.setattr(heads, "DISTANCE_BLOCK_ENTRIES", budget)
+            return [scores(head, z, "max"), scores(head, z, "min"),
+                    head.log_joint(Tensor(z)).data]
+
+        assert len(row_blocks(z.shape[0], centers.size, BLOCK_ENTRIES)) == 25
+        assert len(row_blocks(z.shape[0], centers.size, DISTANCE_BLOCK_ENTRIES)) == 4
+        for short, long in zip(outputs(BLOCK_ENTRIES), outputs(DISTANCE_BLOCK_ENTRIES)):
+            assert short.tobytes() == long.tobytes()
 
     def test_wrong_width_is_rejected_not_broadcast(self):
         head = head_with(np.zeros((3, 2)), np.ones((3, 2)))
