@@ -71,11 +71,10 @@ __all__ = [
 # Default entries per row block (256 KiB of float64), used by the untaped
 # backbone embed and the moment loss's weight gradient: a block's
 # temporaries are reused from cache instead of being page-faulted in fresh
-# for every full-size array. The embed's three layers keep their
-# intermediates in cache only up to about this size: over a 20,000-row pool
-# it took 10.1 / 10.5 / 13.7 / 25.2 ms at 512 / 1,024 / 2,048 / 4,096 rows
-# a block (2 vCPU, numpy 2.4.6). Kernels with another measured optimum pass
-# their own budget to :func:`row_blocks`.
+# for every full-size array. The embed's three layers are fastest at about
+# this size: over a 20,000-row pool it took 11.5 / 12.0 / 12.0 / 13.9 ms at
+# 512 / 1,024 / 2,048 / 4,096 rows a block (2 vCPU, numpy 2.4.6). Kernels
+# with another measured optimum pass their own budget to :func:`row_blocks`.
 BLOCK_ENTRIES = 1 << 15
 
 

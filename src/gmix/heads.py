@@ -93,8 +93,10 @@ class Backbone:
         A taped call runs the layers once over all rows, one checked record
         per layer. An untaped one runs the whole layer stack one row block at
         a time, sized for the widest layer, and writes each block into one
-        output, so no full-size intermediate leaves the cache; each row's
-        value does not depend on the blocking.
+        output, so no full-size intermediate leaves the cache. At the
+        default widths each row's value does not depend on the blocking; at
+        a layer width of 1-4 past a multiple of 8, OpenBLAS's small-matrix
+        kernel can round a block's rows otherwise.
 
         The untaped blocks skip the layers' finiteness checks and check each
         block's output once. That is exact: a non-finite entry in a row of
@@ -310,13 +312,13 @@ def _check_width(width: int, z) -> None:
 
 
 # Entries per row block of :func:`squared_distance_blocks`: one reused
-# 2 MiB (D, K, rows) buffer, 4,096 rows at D = K = 8. Its short
-# elementwise loops cost per call, so it wants longer blocks than
-# ``autodiff.BLOCK_ENTRIES``: a score-pool pass over 20,000 rows took 30.95
-# / 29.09 / 30.10 / 26.44 / 26.00 / 26.48 ms at 512 / 1,024 / 2,048 / 4,096
-# / 8,192 / 16,384 rows a block, and 26.58 ms in one block (2 vCPU, numpy
+# 2 MiB (D, K, rows) buffer, 4,096 rows at D = K = 8. Each of its
+# elementwise ops costs per call, so it wants longer blocks than
+# ``autodiff.BLOCK_ENTRIES``: a score-pool pass over 20,000 rows took 33.3
+# / 33.9 / 32.6 / 27.7 / 28.5 / 28.5 ms at 512 / 1,024 / 2,048 / 4,096 /
+# 8,192 / 16,384 rows a block, and 33.1 ms in one block (2 vCPU, numpy
 # 2.4.6). This is the smallest size on that plateau; one block for the
-# whole pool would add 10 MiB to the peak.
+# whole pool would also add 10 MiB to the peak.
 DISTANCE_BLOCK_ENTRIES = 1 << 18
 
 
