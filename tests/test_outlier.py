@@ -120,8 +120,8 @@ class TestBlockedScores:
 
     @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
     def test_outputs_do_not_depend_on_the_block_budget(self, monkeypatch, rng, kind):
-        # Under the default budget of the other row-blocked kernels, the
-        # same rows run in 8x as many, shorter distance blocks.
+        # Under the embed's budget, 2^15 entries, the same rows run in 25
+        # distance blocks instead of 4.
         centers = rng.normal(size=(8, 8))
         if kind == "aagmm":
             head = head_with(centers, rng.uniform(0.3, 3.0, (8, 8)))
