@@ -177,8 +177,7 @@ def _cmd_sweep(args) -> int:
     for spec in args.grid:
         key, _, values = spec.partition("=")
         if not values:
-            print(f"bad --grid {spec!r}: expected key=v1,v2,...", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad --grid {spec!r}: expected key=v1,v2,...")
         grids.append([(key.strip(), v.strip()) for v in values.split(",")])
     combos = list(itertools.product(*grids)) if grids else [()]
     tasks = []

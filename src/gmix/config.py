@@ -10,6 +10,7 @@ run manifest, whose flat form is hashed to name output directories.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable
@@ -33,8 +34,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected 'true' or 'false'")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(_parse_float(v) for v in text.split(","))
 
 
 def _enum(options) -> Callable[[str], str]:
@@ -70,16 +78,16 @@ SCHEMA: dict[str, _Key] = {
     "run.seed": _Key("run.seed", int),
     "run.steps": _Key("run.steps", int),
     "run.eval_every": _Key("run.eval_every", int),
-    "opt.lr": _Key("run.lr", float),
-    "opt.momentum": _Key("run.momentum", float),
-    "opt.weight_decay": _Key("run.weight_decay", float),
-    "opt.clip_norm": _Key("run.clip_norm", float),
+    "opt.lr": _Key("run.lr", _parse_float),
+    "opt.momentum": _Key("run.momentum", _parse_float),
+    "opt.weight_decay": _Key("run.weight_decay", _parse_float),
+    "opt.clip_norm": _Key("run.clip_norm", _parse_float),
     "ssl.labeled_batch": _Key("run.labeled_batch", int),
     "ssl.unlabeled_ratio": _Key("run.unlabeled_ratio", int),
-    "ssl.conf_threshold": _Key("run.conf_threshold", float),
-    "ssl.lambda_u": _Key("run.lambda_u", float),
+    "ssl.conf_threshold": _Key("run.conf_threshold", _parse_float),
+    "ssl.lambda_u": _Key("run.lambda_u", _parse_float),
     "ssl.curriculum": _Key("run.curriculum", _parse_bool),
-    "ssl.ema_decay": _Key("run.ema_decay", float),
+    "ssl.ema_decay": _Key("run.ema_decay", _parse_float),
     "head.kind": _Key("run.head_kind", _enum(HEAD_KINDS)),
     "head.latent_dim": _Key("run.latent_dim", int),
     "mom.orders": _Key("run.moments.max_order", int),
@@ -87,7 +95,7 @@ SCHEMA: dict[str, _Key] = {
     "mom.mode": _Key("run.moments.mode", _enum(MODES)),
     "mom.view": _Key("run.mom_view", _enum(("weak", "strong"))),
     "gate.enabled": _Key("run.gate.enabled", _parse_bool),
-    "gate.percentile": _Key("run.gate.percentile", float),
+    "gate.percentile": _Key("run.gate.percentile", _parse_float),
     "gate.mode": _Key("run.gate.mode", _enum(GATE_MODES)),
     "gate.refresh": _Key("run.gate.refresh_every", int),
     "gate.exclude_mom": _Key("run.gate.exclude_from_mom", _parse_bool),
@@ -97,8 +105,8 @@ SCHEMA: dict[str, _Key] = {
     "data.unlabeled": _Key("data.n_unlabeled", int),
     "data.test": _Key("data.n_test", int),
     "data.labels_per_class": _Key("data.labels_per_class", int),
-    "data.noise": _Key("data.cluster_noise", float),
-    "data.outlier_frac": _Key("data.outlier_frac", float),
+    "data.noise": _Key("data.cluster_noise", _parse_float),
+    "data.outlier_frac": _Key("data.outlier_frac", _parse_float),
     "data.seed": _Key("data.seed", int),
 }
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -74,61 +73,30 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Generated samples with split membership and outlier ground truth.
+    """The three splits of a generated dataset and their ground truth.
 
-    ``labels`` is -1 for injected outliers. ``feature_scale`` is the
+    Labels are -1 for injected outliers, which only the unlabeled pool
+    holds; ``unlabeled_outlier`` flags them. ``feature_scale`` is the
     per-feature standard deviation of the clean training pool, which the
     augmentation operators use as their unit of perturbation.
     ``true_centers`` are the ambient images of the noise-free class
     centers (zeros for kinds without point centers, like two-moons).
 
-    The per-split arrays (``labeled_x`` and so on) are the rows whose
-    ``split`` is that split's name, selected on first access and kept,
-    read-only, for the life of the instance: the training loop samples
-    them every step. Change the data by building a new instance, for
-    example with ``dataclasses.replace``, never in place.
+    Every array is read-only: the training loop samples the splits every
+    step. Change the data by building a new instance, for example with
+    ``dataclasses.replace``, never in place.
     """
 
     spec: SyntheticSpec
-    features: np.ndarray
-    labels: np.ndarray
-    split: np.ndarray
-    outlier: np.ndarray
+    labeled_x: np.ndarray
+    labeled_y: np.ndarray
+    unlabeled_x: np.ndarray
+    unlabeled_y: np.ndarray
+    unlabeled_outlier: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
     feature_scale: np.ndarray
     true_centers: np.ndarray
-
-    def _select(self, values: np.ndarray, name: str) -> np.ndarray:
-        rows = values[self.split == name]
-        rows.setflags(write=False)
-        return rows
-
-    @cached_property
-    def labeled_x(self) -> np.ndarray:
-        return self._select(self.features, "labeled")
-
-    @cached_property
-    def labeled_y(self) -> np.ndarray:
-        return self._select(self.labels, "labeled")
-
-    @cached_property
-    def unlabeled_x(self) -> np.ndarray:
-        return self._select(self.features, "unlabeled")
-
-    @cached_property
-    def unlabeled_y(self) -> np.ndarray:
-        return self._select(self.labels, "unlabeled")
-
-    @cached_property
-    def unlabeled_outlier(self) -> np.ndarray:
-        return self._select(self.outlier, "unlabeled")
-
-    @cached_property
-    def test_x(self) -> np.ndarray:
-        return self._select(self.features, "test")
-
-    @cached_property
-    def test_y(self) -> np.ndarray:
-        return self._select(self.labels, "test")
 
 
 def _balanced_labels(count: int, n_classes: int) -> np.ndarray:
@@ -188,7 +156,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
     test_y = _balanced_labels(spec.n_test, spec.n_classes)
 
     # Each split's lifted points are written straight into its rows.
-    sizes = (n_labeled, spec.n_unlabeled, spec.n_test)
     labels = np.concatenate([labeled_y, unlabeled_y, test_y])
     features = np.empty((labels.shape[0], spec.ambient_dim))
     lo = 0
@@ -201,7 +168,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     # The scale and the outlier radius come from the clean training rows,
     # read before any outlier is written over them.
-    train_clean = features[:n_labeled + spec.n_unlabeled]
+    n_train = n_labeled + spec.n_unlabeled
+    train_clean = features[:n_train]
     feature_scale = np.maximum(train_clean.std(axis=0), 1e-12)
 
     outlier = np.zeros(labels.shape[0], dtype=bool)
@@ -213,7 +181,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
         outlier[idx] = True
         labels[idx] = -1
 
-    split = np.repeat(np.array(["labeled", "unlabeled", "test"]), sizes)
     if spec.kind == "warped-mixture":
         angles = 2.0 * math.pi * np.arange(spec.n_classes) / spec.n_classes
         centers_base = np.zeros((spec.n_classes, base_dim))
@@ -222,7 +189,17 @@ def generate(spec: SyntheticSpec) -> Dataset:
         true_centers = _lift(centers_base, affine, offset)
     else:
         true_centers = np.zeros((spec.n_classes, spec.ambient_dim))
-    return Dataset(spec, features, labels, split, outlier, feature_scale, true_centers)
+    # Read-only before slicing, so every split's row range is read-only too.
+    for array in (features, labels, outlier, feature_scale, true_centers):
+        array.setflags(write=False)
+    pool = slice(n_labeled, n_train)
+    return Dataset(
+        spec,
+        labeled_x=features[:n_labeled], labeled_y=labels[:n_labeled],
+        unlabeled_x=features[pool], unlabeled_y=labels[pool], unlabeled_outlier=outlier[pool],
+        test_x=features[n_train:], test_y=labels[n_train:],
+        feature_scale=feature_scale, true_centers=true_centers,
+    )
 
 
 def augment_weak(x: np.ndarray, scale: np.ndarray, rng, sigma: float = WEAK_NOISE) -> np.ndarray:

@@ -194,21 +194,20 @@ class EvalResult:
 def init_state(config: RunConfig, dataset: Dataset) -> TrainState:
     ss = np.random.SeedSequence(config.seed)
     backbone_seed, head_seed, batch_seed = ss.spawn(3)
-    n_classes = dataset.spec.n_classes
-    backbone = Backbone(dataset.features.shape[1], config.latent_dim, seed=backbone_seed)
-    head = init_head(config.head_kind, n_classes, config.latent_dim, seed=head_seed)
+    spec = dataset.spec
+    backbone = Backbone(spec.ambient_dim, config.latent_dim, seed=backbone_seed)
+    head = init_head(config.head_kind, spec.n_classes, config.latent_dim, seed=head_seed)
     params = backbone.parameters() + head.parameters()
     optimizer = SgdMomentum(params, config.lr, config.momentum, config.weight_decay)
     ema = None
     if config.ema_decay > 0:
         ema = {p.name: p.value.copy() for p in params}
-    n_unlabeled = dataset.unlabeled_y.shape[0]  # selects labels only, no feature rows
     return TrainState(
         backbone=backbone,
         head=head,
         optimizer=optimizer,
         gate=config.gate.build(),
-        unlabeled_status=np.full(n_unlabeled, -1, dtype=np.int64),
+        unlabeled_status=np.full(spec.n_unlabeled, -1, dtype=np.int64),
         rng=np.random.default_rng(batch_seed),
         ema=ema,
     )

@@ -3,11 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gmix.cli import main
 from gmix.config import SCHEMA, ConfigError, _lookup, config_hash, parse_config_text
-from gmix.datasets import SyntheticSpec
+from gmix.datasets import SyntheticSpec, generate
 from gmix.pipeline import RunConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,6 +26,12 @@ data.unlabeled = 300
 data.test = 100
 data.noise = 0.12
 """
+
+# Every key whose default is a float or a tuple of floats.
+FLOAT_KEYS = [
+    key for key, k in SCHEMA.items()
+    if isinstance(_lookup({"run": RunConfig(), "data": SyntheticSpec()}, k.path), (float, tuple))
+]
 
 
 class TestParsing:
@@ -77,6 +84,12 @@ class TestParsing:
     def test_mom_weights_wrong_length(self):
         with pytest.raises(ConfigError, match="4 entries"):
             parse_config_text("mom.weights=1.0,0.5\n")
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_float_rejected_with_line_number(self, key, value):
+        with pytest.raises(ConfigError, match=f":2: bad value for {key}: expected a finite"):
+            parse_config_text(f"run.seed = 1\n{key} = {value}\n")
 
     def test_two_moons_class_count_checked(self):
         with pytest.raises(ConfigError, match="two-moons"):
@@ -193,6 +206,28 @@ class TestCli:
         assert header == [f"z{i}" for i in range(4)] + ["label", "predicted", "score"]
         assert len(tsv.read_text().splitlines()) == 101
 
+    def test_export_embeddings_of_the_training_splits(self, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN + "data.outlier_frac = 0.1\n")
+        out_root = tmp_path / "runs"
+        assert main(["train", str(config_path), "--out-root", str(out_root)]) == 0
+        ckpt = next(out_root.iterdir()) / "checkpoint.bin"
+        _, data_spec, _ = parse_config_text(config_path.read_text())
+        dataset = generate(data_spec)
+        n_labeled = data_spec.n_classes * data_spec.labels_per_class
+        for split, size in [("labeled", n_labeled), ("unlabeled", data_spec.n_unlabeled)]:
+            tsv = tmp_path / f"{split}.tsv"
+            assert main([
+                "export-embeddings", str(config_path),
+                "--checkpoint", str(ckpt), "--out", str(tsv), "--split", split,
+            ]) == 0
+            rows = [line.split("\t") for line in tsv.read_text().splitlines()[1:]]
+            assert len(rows) == size
+            labels = np.array([int(row[4]) for row in rows])
+            np.testing.assert_array_equal(labels, getattr(dataset, f"{split}_y"))
+        assert np.count_nonzero(dataset.unlabeled_outlier) == 30
+        np.testing.assert_array_equal(labels == -1, dataset.unlabeled_outlier)
+
     def test_eval_reports_the_manifest_accuracy_with_ema(self, tmp_path, capsys):
         config_path = tmp_path / "ema.cfg"
         config_path.write_text(TINY_RUN + "ssl.ema_decay = 0.9\n")
@@ -266,6 +301,17 @@ class TestCli:
         ])
         assert code == 1
         assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out_root.exists()
+
+    def test_sweep_rejects_grid_without_values(self, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)
+        out_root = tmp_path / "sweep"
+        code = main([
+            "sweep", str(config_path), "--grid", "run.seed", "--out-root", str(out_root),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad --grid 'run.seed'")
         assert not out_root.exists()
 
     def test_out_root_env_var(self, tmp_path, capsys, monkeypatch):

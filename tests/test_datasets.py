@@ -11,6 +11,7 @@ import pytest
 from gmix.datasets import (
     LIFT_GAIN,
     LIFT_OFFSET,
+    Dataset,
     SyntheticSpec,
     _balanced_labels,
     _base_dim,
@@ -69,22 +70,32 @@ def reference_generate(spec):
     features = np.concatenate([labeled_x, unlabeled_x, test_x], axis=0)
     split = np.array(["labeled"] * n_labeled + ["unlabeled"] * spec.n_unlabeled
                      + ["test"] * spec.n_test)
-    return features, labels, split, outlier, feature_scale
+    return {
+        "labeled_x": features[split == "labeled"],
+        "labeled_y": labels[split == "labeled"],
+        "unlabeled_x": features[split == "unlabeled"],
+        "unlabeled_y": labels[split == "unlabeled"],
+        "unlabeled_outlier": outlier[split == "unlabeled"],
+        "test_x": features[split == "test"],
+        "test_y": labels[split == "test"],
+        "feature_scale": feature_scale,
+    }
+
+
+ARRAY_FIELDS = [f.name for f in dataclasses.fields(Dataset) if f.name != "spec"]
 
 
 class TestGenerate:
     def test_same_seed_identical(self):
-        a = generate(SyntheticSpec(seed=11))
-        b = generate(SyntheticSpec(seed=11))
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.split, b.split)
-        np.testing.assert_array_equal(a.outlier, b.outlier)
+        a = generate(SyntheticSpec(seed=11, outlier_frac=0.05))
+        b = generate(SyntheticSpec(seed=11, outlier_frac=0.05))
+        for name in ARRAY_FIELDS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seed_differs(self):
         a = generate(SyntheticSpec(seed=1))
         b = generate(SyntheticSpec(seed=2))
-        assert not np.array_equal(a.features, b.features)
+        assert not np.array_equal(a.unlabeled_x, b.unlabeled_x)
 
     def test_labeled_split_exactly_balanced(self):
         ds = generate(DEFAULT)
@@ -92,18 +103,22 @@ class TestGenerate:
         counts = np.bincount(ds.labeled_y, minlength=8)
         np.testing.assert_array_equal(counts, np.full(8, 4))
 
-    def test_splits_disjoint_and_sized(self):
+    def test_splits_sized(self):
         ds = generate(DEFAULT)
-        sizes = {name: int((ds.split == name).sum()) for name in ("labeled", "unlabeled", "test")}
-        assert sizes == {"labeled": 32, "unlabeled": 8000, "test": 2000}
-        assert len(ds.split) == 32 + 8000 + 2000
+        sizes = {name: (getattr(ds, f"{name}_x").shape, getattr(ds, f"{name}_y").shape)
+                 for name in ("labeled", "unlabeled", "test")}
+        assert sizes == {"labeled": ((32, 16), (32,)), "unlabeled": ((8000, 16), (8000,)),
+                         "test": ((2000, 16), (2000,))}
+        assert ds.unlabeled_outlier.shape == (8000,)
+        assert not ds.unlabeled_outlier.any()
+        assert ds.unlabeled_y.min() >= 0
 
     def test_outlier_count_exact(self):
         ds = generate(SyntheticSpec(outlier_frac=0.05, seed=3))
-        assert int(ds.outlier.sum()) == 400
-        assert ds.outlier[ds.split == "labeled"].sum() == 0
-        assert ds.outlier[ds.split == "test"].sum() == 0
-        assert np.all(ds.labels[ds.outlier] == -1)
+        assert int(ds.unlabeled_outlier.sum()) == 400
+        np.testing.assert_array_equal(ds.unlabeled_y == -1, ds.unlabeled_outlier)
+        assert ds.labeled_y.min() >= 0
+        assert ds.test_y.min() >= 0
 
     def test_outliers_are_recoverable(self):
         """Every injected outlier sits farther from all true cluster
@@ -155,10 +170,10 @@ class TestAgainstReference:
         f"{s.kind}-d{s.ambient_dim}-n{s.n_unlabeled}-o{s.outlier_frac}-s{s.seed}"))
     def test_every_field_is_bitwise_equal(self, spec):
         ds = generate(spec)
-        fields = (ds.features, ds.labels, ds.split, ds.outlier, ds.feature_scale)
-        for got, want in zip(fields, reference_generate(spec)):
-            assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes()
+        for name, want in reference_generate(spec).items():
+            got = getattr(ds, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_warped_base_points_keep_the_sign_of_zero(self):
         # Noise this small rounds to signed zeros, which the sum with the
@@ -243,7 +258,9 @@ class TestSeparability:
 
         ds = generate(DEFAULT)
         ds_full = dataclasses.replace(
-            ds, split=np.where(ds.split == "unlabeled", "labeled", ds.split)
+            ds,
+            labeled_x=np.concatenate([ds.labeled_x, ds.unlabeled_x]),
+            labeled_y=np.concatenate([ds.labeled_y, ds.unlabeled_y]),
         )
         config = RunConfig(
             seed=0, steps=4000, eval_every=4000, head_kind="linear",
@@ -257,51 +274,17 @@ class TestSeparability:
         assert accuracy >= 0.98
 
 
-SPLIT_ARRAYS = [
-    ("labeled_x", "features", "labeled"),
-    ("labeled_y", "labels", "labeled"),
-    ("unlabeled_x", "features", "unlabeled"),
-    ("unlabeled_y", "labels", "unlabeled"),
-    ("unlabeled_outlier", "outlier", "unlabeled"),
-    ("test_x", "features", "test"),
-    ("test_y", "labels", "test"),
-]
+class TestReadOnlyFields:
+    DATASET = generate(SyntheticSpec(n_unlabeled=300, n_test=60, outlier_frac=0.1, seed=4,
+                                     n_classes=3, labels_per_class=2))
 
-
-class TestSplitCache:
-    SPEC = SyntheticSpec(n_unlabeled=300, n_test=60, outlier_frac=0.1, seed=4,
-                         n_classes=3, labels_per_class=2)
-
-    @pytest.fixture(params=["generate", "replace"])
-    def dataset(self, request):
-        ds = generate(self.SPEC)
-        if request.param == "replace":
-            # A new instance built from a dataset whose splits are already
-            # cached selects its own rows, not the old instance's.
-            for attr, _, _ in SPLIT_ARRAYS:
-                getattr(ds, attr)
-            perm = np.random.default_rng(0).permutation(len(ds.split))
-            ds = dataclasses.replace(
-                ds, features=ds.features[perm], labels=ds.labels[perm],
-                split=ds.split[perm], outlier=ds.outlier[perm],
-            )
-        return ds
-
-    @pytest.mark.parametrize("attr, column, name", SPLIT_ARRAYS)
-    def test_each_split_is_its_masked_rows(self, dataset, attr, column, name):
-        rows = getattr(dataset, attr)
-        expected = getattr(dataset, column)[dataset.split == name]
-        assert rows.dtype == expected.dtype
-        np.testing.assert_array_equal(rows, expected)
-        assert getattr(dataset, attr) is rows  # selected once, then kept
-
-    @pytest.mark.parametrize("attr", [a for a, _, _ in SPLIT_ARRAYS])
-    def test_split_arrays_are_read_only(self, dataset, attr):
-        rows = getattr(dataset, attr)
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_arrays_are_read_only(self, name):
+        rows = getattr(self.DATASET, name)
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = rows[-1]
 
-    def test_fields_cannot_be_reassigned(self, dataset):
+    @pytest.mark.parametrize("name", ARRAY_FIELDS)
+    def test_fields_cannot_be_reassigned(self, name):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            dataset.split = np.full(dataset.split.shape, "test")
-
+            setattr(self.DATASET, name, np.zeros(1))

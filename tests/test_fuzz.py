@@ -5,6 +5,7 @@ documented error, a ``ValueError`` (``ConfigError`` is one), which the
 CLI turns into an error line and exit 1; never another exception.
 """
 
+import math
 import os
 import struct
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gmix.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from gmix.config import SCHEMA, parse_config_text
+from gmix.config import SCHEMA, _lookup, parse_config_text
 
 # The guard fixture is set up once per test, not per example; that is fine.
 FUZZ = settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -122,4 +123,9 @@ class TestConfigFuzz:
         if result is not None:
             run_config, data_spec, flat = result
             assert set(flat) == set(SCHEMA)
+            roots = {"run": run_config, "data": data_spec}
+            for k in SCHEMA.values():
+                value = _lookup(roots, k.path)
+                for v in value if isinstance(value, tuple) else (value,):
+                    assert not isinstance(v, float) or math.isfinite(v), (k.path, v)
 
