@@ -89,12 +89,13 @@ def _cmd_moments_selftest(args) -> int:
     lines = []
     lines.append("order,hyperdiags,class_size,weight")
     for p in range(1, args.max_order + 1):
-        for h in range(p):
-            size = class_size(p, dim, h)
+        sizes = [class_size(p, dim, h) for h in range(p)]
+        for h, size in enumerate(sizes):
             weight = 1.0 / size if size else 0.0
             lines.append(f"{p},{h},{size},{weight:.10g}")
-            if size and abs(size * weight - 1.0) > 2 ** -50:
-                ok = False
+        # The classes partition all dim**p index tuples of order p.
+        if sum(sizes) != dim ** p:
+            ok = False
     lines.append("")
     lines.append("pattern,target")
     patterns = {

@@ -1,10 +1,11 @@
 """Flat key=value run configuration.
 
 One namespaced key per field ('#' starts a comment, blank lines are
-skipped); unknown keys, bad types, duplicate keys, and constraint
-violations are rejected with the offending line number. Absent keys take
-their defaults, and the fully resolved configuration is echoed into the
-run manifest, whose flat form is hashed to name output directories.
+skipped); unknown keys, bad types and duplicate keys are rejected with the
+offending line number, and constraint violations with the file name.
+Absent keys take their defaults, and the fully resolved configuration is
+echoed into the run manifest, whose flat form is hashed to name output
+directories.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .datasets import DATASET_KINDS, SyntheticSpec
 from .heads import HEAD_KINDS
 from .moments import MODES
 from .outlier import GATE_MODES
-from .pipeline import RunConfig
+from .pipeline import MOM_VIEWS, RunConfig
 
 
 class ConfigError(ValueError):
@@ -93,7 +94,7 @@ SCHEMA: dict[str, _Key] = {
     "mom.orders": _Key("run.moments.max_order", int),
     "mom.weights": _Key("run.moments.order_weights", _parse_float_list),
     "mom.mode": _Key("run.moments.mode", _enum(MODES)),
-    "mom.view": _Key("run.mom_view", _enum(("weak", "strong"))),
+    "mom.view": _Key("run.mom_view", _enum(MOM_VIEWS)),
     "gate.enabled": _Key("run.gate.enabled", _parse_bool),
     "gate.percentile": _Key("run.gate.percentile", _parse_float),
     "gate.mode": _Key("run.gate.mode", _enum(GATE_MODES)),

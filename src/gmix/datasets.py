@@ -69,18 +69,19 @@ class SyntheticSpec:
             raise ValueError("outlier_frac must be in [0, 0.5)")
         if self.cluster_noise <= 0.0:
             raise ValueError("cluster_noise must be positive")
+        if self.seed < 0:
+            raise ValueError("the dataset seed must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """The three splits of a generated dataset and their ground truth.
+    """The labeled, unlabeled and test splits of a generated dataset.
 
     Labels are -1 for injected outliers, which only the unlabeled pool
     holds; ``unlabeled_outlier`` flags them. ``feature_scale`` is the
-    per-feature standard deviation of the clean training pool, which the
-    augmentation operators use as their unit of perturbation.
-    ``true_centers`` are the ambient images of the noise-free class
-    centers (zeros for kinds without point centers, like two-moons).
+    per-feature standard deviation of the labeled and unlabeled rows before
+    the outliers replace some of them; the augmentation operators use it as
+    their unit of perturbation.
 
     Every array is read-only: the training loop samples the splits every
     step. Change the data by building a new instance, for example with
@@ -96,7 +97,6 @@ class Dataset:
     test_x: np.ndarray
     test_y: np.ndarray
     feature_scale: np.ndarray
-    true_centers: np.ndarray
 
 
 def _balanced_labels(count: int, n_classes: int) -> np.ndarray:
@@ -134,10 +134,6 @@ def _base_points(spec: SyntheticSpec, labels: np.ndarray, rng) -> np.ndarray:
     t = rng.uniform(0.0, 2.0 * math.pi, size=n)
     radius = (labels + 1.0) / spec.n_classes + noise * rng.standard_normal(n)
     return np.stack([radius * np.cos(t), radius * np.sin(t)], axis=1)
-
-
-def _lift(points: np.ndarray, affine: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    return np.tanh(points @ affine + offset)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -181,46 +177,27 @@ def generate(spec: SyntheticSpec) -> Dataset:
         outlier[idx] = True
         labels[idx] = -1
 
-    if spec.kind == "warped-mixture":
-        angles = 2.0 * math.pi * np.arange(spec.n_classes) / spec.n_classes
-        centers_base = np.zeros((spec.n_classes, base_dim))
-        centers_base[:, 0] = np.cos(angles)
-        centers_base[:, 1] = np.sin(angles)
-        true_centers = _lift(centers_base, affine, offset)
-    else:
-        true_centers = np.zeros((spec.n_classes, spec.ambient_dim))
     # Read-only before slicing, so every split's row range is read-only too.
-    for array in (features, labels, outlier, feature_scale, true_centers):
+    for array in (features, labels, outlier, feature_scale):
         array.setflags(write=False)
     pool = slice(n_labeled, n_train)
     return Dataset(
         spec,
         labeled_x=features[:n_labeled], labeled_y=labels[:n_labeled],
         unlabeled_x=features[pool], unlabeled_y=labels[pool], unlabeled_outlier=outlier[pool],
-        test_x=features[n_train:], test_y=labels[n_train:],
-        feature_scale=feature_scale, true_centers=true_centers,
+        test_x=features[n_train:], test_y=labels[n_train:], feature_scale=feature_scale,
     )
 
 
-def augment_weak(x: np.ndarray, scale: np.ndarray, rng, sigma: float = WEAK_NOISE) -> np.ndarray:
-    """Additive isotropic Gaussian noise at ``sigma`` of the feature scale."""
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
+def augment_weak(x: np.ndarray, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Additive isotropic Gaussian noise at ``WEAK_NOISE`` of the feature scale."""
     x = np.asarray(x, dtype=np.float64)
-    return x + sigma * scale * rng.standard_normal(x.shape)
+    return x + WEAK_NOISE * scale * rng.standard_normal(x.shape)
 
 
-def augment_strong(
-    x: np.ndarray,
-    scale: np.ndarray,
-    rng,
-    sigma: float = STRONG_NOISE,
-    drop: float = STRONG_DROP,
-    jitter: float = STRONG_JITTER,
-) -> np.ndarray:
+def augment_strong(x: np.ndarray, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Heavier noise, random coordinate dropout, and per-coordinate scale jitter."""
-    rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     x = np.asarray(x, dtype=np.float64)
-    out = x + sigma * scale * rng.standard_normal(x.shape)
-    out = np.where(rng.random(x.shape) < drop, 0.0, out)
-    return out * rng.uniform(1.0 - jitter, 1.0 + jitter, size=x.shape)
-
+    out = x + STRONG_NOISE * scale * rng.standard_normal(x.shape)
+    out = np.where(rng.random(x.shape) < STRONG_DROP, 0.0, out)
+    return out * rng.uniform(1.0 - STRONG_JITTER, 1.0 + STRONG_JITTER, size=x.shape)

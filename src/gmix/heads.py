@@ -58,6 +58,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Negative-side slope of the backbone's hidden-layer rectifier.
 LEAKY_SLOPE = 0.01
 
+HIDDEN_WIDTHS = (64, 64)
+
 HEAD_KINDS = ("linear", "kmeans", "aagmm")
 
 
@@ -68,12 +70,9 @@ class Backbone:
     down to the latent dimension.
     """
 
-    def __init__(self, ambient_dim: int, latent_dim: int = 8,
-                 hidden: tuple[int, ...] = (64, 64), seed=0) -> None:
+    def __init__(self, ambient_dim: int, latent_dim: int = 8, seed=0) -> None:
         rng = np.random.default_rng(seed)
-        widths = (ambient_dim, *hidden, latent_dim)
-        self.ambient_dim = ambient_dim
-        self.latent_dim = latent_dim
+        widths = (ambient_dim, *HIDDEN_WIDTHS, latent_dim)
         self.weights: list[Parameter] = []
         self.biases: list[Parameter] = []
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):

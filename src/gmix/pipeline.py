@@ -42,6 +42,10 @@ from .moments import MomentSpec, mom_loss
 from .outlier import OutlierGate, fit_threshold, mask as gate_mask
 
 
+# The augmented view of the unlabeled batch that the moment loss reads.
+MOM_VIEWS = ("weak", "strong")
+
+
 @dataclass(frozen=True)
 class GateConfig:
     """Outlier-gate settings as they appear in run configuration."""
@@ -90,6 +94,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.head_kind not in HEAD_KINDS:
             raise ValueError(f"head_kind must be one of {HEAD_KINDS}")
+        if self.seed < 0:
+            raise ValueError("the run seed must be nonnegative")
         if self.lr <= 0 or self.clip_norm <= 0:
             raise ValueError("learning rate and clip norm must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -104,8 +110,8 @@ class RunConfig:
             raise ValueError("steps must be >= 0 and eval_every >= 1")
         if self.labeled_batch < 1 or self.unlabeled_ratio < 1 or self.latent_dim < 1:
             raise ValueError("batch sizes and latent_dim must be positive")
-        if self.mom_view not in ("weak", "strong"):
-            raise ValueError("mom_view must be 'weak' or 'strong'")
+        if self.mom_view not in MOM_VIEWS:
+            raise ValueError(f"mom_view must be one of {MOM_VIEWS}")
         if self.head_kind == "linear":
             if self.gate.enabled:
                 raise ValueError("the outlier gate needs a mixture head")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gmix import cli, moments
 from gmix.cli import main
 from gmix.config import SCHEMA, ConfigError, _lookup, config_hash, parse_config_text
 from gmix.datasets import SyntheticSpec, generate
@@ -26,6 +27,23 @@ data.unlabeled = 300
 data.test = 100
 data.noise = 0.12
 """
+
+# A config that breaks one dataclass constraint, and the message it gives.
+CONSTRAINT_VIOLATIONS = [
+    ("mom.weights = 1,1,1", "order_weights must have 4 entries"),
+    ("mom.weights = 1,-1,1,1", "order weights must be nonnegative"),
+    ("opt.lr = 0", "learning rate and clip norm must be positive"),
+    ("opt.momentum = 1", "momentum must be in [0, 1)"),
+    ("ssl.conf_threshold = 0", "conf_threshold must be in (0, 1]"),
+    ("ssl.ema_decay = 1", "ema_decay must be in [0, 1)"),
+    ("run.eval_every = 0", "steps must be >= 0 and eval_every >= 1"),
+    ("gate.refresh = 0", "refresh_every must be at least 1"),
+    ("data.classes = 1", "need at least 2 classes"),
+    ("data.outlier_frac = 0.5", "outlier_frac must be in [0, 0.5)"),
+    ("head.kind = linear\ngate.enabled = true", "the outlier gate needs a mixture head"),
+    ("run.seed = -1", "the run seed must be nonnegative"),
+    ("data.seed = -1", "the dataset seed must be nonnegative"),
+]
 
 # Every key whose default is a float or a tuple of floats.
 FLOAT_KEYS = [
@@ -164,6 +182,15 @@ class TestCli:
         assert "order,hyperdiags,class_size,weight" in out
         assert "self-test passed" in out
 
+    def test_moments_selftest_fails_on_a_wrong_class_size(self, capsys, monkeypatch):
+        def off_by_one(p, dim, h):
+            return moments.class_size(p, dim, h) + (h == 0)
+
+        monkeypatch.setattr(cli, "class_size", off_by_one)
+        code = main(["moments-selftest", "--dim", "4", "--repeats", "2", "--samples", "20"])
+        assert code == 1
+        assert "self-test FAILED (dim=4)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("args, message", [
         (["--max-order", "5"], "error: --max-order must be in 1..4"),
         (["--max-order", "0"], "error: --max-order must be in 1..4"),
@@ -265,6 +292,16 @@ class TestCli:
         config_path.write_text("run.steps=never\n")
         assert main(["train", str(config_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", CONSTRAINT_VIOLATIONS,
+                             ids=[text.replace("\n", "; ") for text, _ in CONSTRAINT_VIOLATIONS])
+    def test_constraint_violation_exits_before_the_run(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text(text + "\n")
+        out_root = tmp_path / "runs"
+        assert main(["train", str(config_path), "--out-root", str(out_root)]) == 1
+        assert capsys.readouterr().err == f"config error: {config_path}: {message}\n"
+        assert not out_root.exists()
 
     def test_eval_with_mismatched_checkpoint_fails(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"

@@ -631,7 +631,7 @@ class TestBlockedEmbed:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bias_overflow_in_a_later_block_names_add(self):
-        backbone = Backbone(1, 8, hidden=(2,), seed=0)
+        backbone = Backbone(1, 8, seed=0)
         backbone.weights[0].value[...] = 1.0
         backbone.biases[0].value[...] = 1e308
         x = np.full((3 * self.ROWS, 1), -1e308)
