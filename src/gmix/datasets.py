@@ -61,8 +61,9 @@ class SyntheticSpec:
             raise ValueError("need at least 2 classes")
         if self.ambient_dim < 2:
             raise ValueError("ambient_dim must be at least 2")
-        if self.labels_per_class < 1 or self.n_unlabeled < 1 or self.n_test < 1:
-            raise ValueError("all split sizes must be positive")
+        for name in ("labels_per_class", "n_unlabeled", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.labels_per_class * self.n_classes > self.n_unlabeled:
             raise ValueError("labeled budget exceeds the unlabeled pool size")
         if not 0.0 <= self.outlier_frac < 0.5:

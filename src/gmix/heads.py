@@ -5,7 +5,9 @@ the latent space, so they expose the per-class joint densities, the
 mixture prior, and the Bayes conditional. All density arithmetic runs
 in log-space; probabilities are only materialized through a shifted
 softmax, which stays finite for points arbitrarily far from every
-cluster center.
+cluster center. Every head scores the classes through one method,
+``class_log_scores``: the per-class log joint for a mixture head, the
+logits for the linear head.
 
 Both mixture heads evaluate their per-class log joint density through
 one primitive, :func:`_mixture_log_joint`: one tape record with a
@@ -209,10 +211,8 @@ class AagmmHead:
     def variances(self) -> np.ndarray:
         return np.exp(self.log_var.value)
 
-    def log_joint(self, z: Tensor, tape: Tape | None = None) -> Tensor:
+    def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
         return _mixture_log_joint(z, self.centers.use(tape), self.log_var.use(tape))
-
-    class_log_scores = log_joint
 
 
 class KmeansHead:
@@ -232,10 +232,8 @@ class KmeansHead:
     def variances(self) -> np.ndarray:
         return np.ones((self.n_classes, self.latent_dim))
 
-    def log_joint(self, z: Tensor, tape: Tape | None = None) -> Tensor:
+    def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
         return _mixture_log_joint(z, self.centers.use(tape), None)
-
-    class_log_scores = log_joint
 
 
 class LinearSoftmaxHead:
@@ -263,7 +261,7 @@ def log_joint(head, z, tape: Tape | None = None) -> Tensor:
     if not head.generative:
         raise TypeError(f"{head.kind} head does not model a joint density")
     z = z if isinstance(z, Tensor) else Tensor(z)
-    return head.log_joint(z, tape)
+    return head.class_log_scores(z, tape)
 
 
 def log_prior(head, z, tape: Tape | None = None) -> Tensor:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -96,20 +97,23 @@ class RunConfig:
             raise ValueError(f"head_kind must be one of {HEAD_KINDS}")
         if self.seed < 0:
             raise ValueError("the run seed must be nonnegative")
-        if self.lr <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning rate and clip norm must be positive")
+        for name in ("lr", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0 or self.lambda_u < 0:
-            raise ValueError("weight decay and lambda_u must be nonnegative")
+        for name in ("weight_decay", "lambda_u"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0.0 < self.conf_threshold <= 1.0:
             raise ValueError("conf_threshold must be in (0, 1]")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError("ema_decay must be in [0, 1)")
-        if self.steps < 0 or self.eval_every < 1:
-            raise ValueError("steps must be >= 0 and eval_every >= 1")
-        if self.labeled_batch < 1 or self.unlabeled_ratio < 1 or self.latent_dim < 1:
-            raise ValueError("batch sizes and latent_dim must be positive")
+        if self.steps < 0:
+            raise ValueError("steps must be nonnegative")
+        for name in ("eval_every", "labeled_batch", "unlabeled_ratio", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.mom_view not in MOM_VIEWS:
             raise ValueError(f"mom_view must be one of {MOM_VIEWS}")
         if self.head_kind == "linear":
@@ -176,18 +180,26 @@ class UnlabeledBatch:
     true_labels: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class StepStats:
-    loss_total: float
-    loss_sup: float
-    loss_unsup: float
-    loss_mom_total: float
-    mom_terms: dict[int, float]
-    pseudo_rate: float
-    pseudo_acc: float
-    outlier_tau: float
-    outlier_rate: float
-    grad_scale: float
+    """One training step's numbers: the metrics row's training columns.
+
+    The defaults are the step-0 row's values, before any step ran.
+    """
+
+    loss_total: float = 0.0
+    grad_scale: float = 1.0
+    loss_sup: float = 0.0
+    loss_unsup: float = 0.0
+    loss_mom_total: float = 0.0
+    loss_mom_p1: float = 0.0
+    loss_mom_p2: float = 0.0
+    loss_mom_p3: float = 0.0
+    loss_mom_p4: float = 0.0
+    pseudo_rate: float = 0.0
+    pseudo_acc: float = 1.0  # nothing kept, nothing wrong
+    outlier_tau: float = 0.0
+    outlier_rate: float = 0.0
 
 
 @dataclass
@@ -289,17 +301,13 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
     n_classes = state.head.n_classes
     state.optimizer.zero_grad()
     tape = Tape()
+    stats = StepStats()
 
     xl, yl = labeled
     zl = state.backbone.embed(Tensor(xl), tape)
     loss_sup = _nll(log_conditional(state.head, zl, tape), yl, n_classes).mean()
+    stats.loss_sup = loss_sup.item()
     loss_total = loss_sup
-
-    loss_unsup_val = 0.0
-    mom_total_val = 0.0
-    mom_terms: dict[int, float] = {}
-    rate, acc = 0.0, 1.0
-    outlier_rate = 0.0
 
     if unlabeled is not None:
         m = unlabeled.weak.shape[0]
@@ -308,7 +316,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
 
         if config.gate.enabled and state.gate.fitted:
             keep_gate = gate_mask(state.gate, state.head, zw.data)
-            outlier_rate = float(1.0 - keep_gate.mean())
+            stats.outlier_rate = float(1.0 - keep_gate.mean())
         else:
             keep_gate = np.ones(m, dtype=bool)
 
@@ -318,14 +326,14 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
             thresholds = np.full(n_classes, config.conf_threshold)
         labels_u, confident = pseudo_label(probs, thresholds)
         kept = confident & keep_gate
-        rate, acc = pseudo_quality(kept, labels_u, unlabeled.true_labels)
+        stats.pseudo_rate, stats.pseudo_acc = pseudo_quality(kept, labels_u, unlabeled.true_labels)
 
         zs = None
         if config.lambda_u > 0:
             zs = state.backbone.embed(Tensor(unlabeled.strong), tape)
             nll_u = _nll(log_conditional(state.head, zs, tape), labels_u, n_classes)
             loss_unsup = tsum(nll_u * Tensor(kept.astype(np.float64))) / m
-            loss_unsup_val = loss_unsup.item()
+            stats.loss_unsup = loss_unsup.item()
             loss_total = loss_total + config.lambda_u * loss_unsup
 
         if config.moments.max_order >= 1:
@@ -338,8 +346,9 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
                 mom_total, per_order = mom_loss(
                     src, config.moments, head=head_arg, sample_mask=mom_mask
                 )
-                mom_total_val = mom_total.item()
-                mom_terms = {p: t.item() for p, t in per_order.items()}
+                stats.loss_mom_total = mom_total.item()
+                for p, t in per_order.items():
+                    setattr(stats, f"loss_mom_p{p}", t.item())
                 loss_total = loss_total + mom_total
 
         # Track each visited sample's current confident prediction (or -1):
@@ -351,7 +360,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
 
     backward(loss_total)
     tape.clear()  # break the tape's reference cycles so this step's memory is freed now
-    grad_scale = clip_global_norm(state.parameters(), config.clip_norm)
+    stats.grad_scale = clip_global_norm(state.parameters(), config.clip_norm)
     state.optimizer.step()
     if state.ema is not None:
         d = config.ema_decay
@@ -359,46 +368,30 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
             state.ema[p.name] *= d
             state.ema[p.name] += (1.0 - d) * p.value
     state.step += 1
-
-    return StepStats(
-        loss_total=loss_total.item(),
-        loss_sup=loss_sup.item(),
-        loss_unsup=loss_unsup_val,
-        loss_mom_total=mom_total_val,
-        mom_terms=mom_terms,
-        pseudo_rate=rate,
-        pseudo_acc=acc,
-        outlier_tau=state.gate.tau if state.gate.fitted else 0.0,
-        outlier_rate=outlier_rate,
-        grad_scale=grad_scale,
-    )
+    stats.loss_total = loss_total.item()
+    if state.gate.fitted:
+        stats.outlier_tau = state.gate.tau
+    return stats
 
 
-class _SwappedParams:
-    """Temporarily substitute EMA shadow values for evaluation."""
-
-    def __init__(self, state: TrainState) -> None:
-        self.state = state
-        self.saved: list[np.ndarray] | None = None
-
-    def __enter__(self):
-        if self.state.ema is not None:
-            self.saved = [p.value.copy() for p in self.state.parameters()]
-            for p in self.state.parameters():
-                p.value[...] = self.state.ema[p.name]
-        return self
-
-    def __exit__(self, *exc):
-        if self.saved is not None:
-            for p, saved in zip(self.state.parameters(), self.saved):
-                p.value[...] = saved
-        return False
+@contextmanager
+def _ema_weights(state: TrainState):
+    """Run the body on the EMA shadow weights, if any, then restore the live ones."""
+    params = state.parameters() if state.ema is not None else []
+    saved = [p.value.copy() for p in params]
+    for p in params:
+        p.value[...] = state.ema[p.name]
+    try:
+        yield
+    finally:
+        for p, value in zip(params, saved):
+            p.value[...] = value
 
 
 def evaluate(state: TrainState, x: np.ndarray, y: np.ndarray) -> EvalResult:
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    with _SwappedParams(state):
+    with _ema_weights(state):
         z = state.backbone.embed(Tensor(x))
         scores = state.head.class_log_scores(z).data
     pred = np.argmax(scores, axis=1)
@@ -415,24 +408,10 @@ def evaluate(state: TrainState, x: np.ndarray, y: np.ndarray) -> EvalResult:
     return EvalResult(accuracy=accuracy, per_class=per_class, compactness=compact)
 
 
-def _metrics_row(step: int, stats: StepStats | None, ev: EvalResult) -> dict:
-    mom_terms = stats.mom_terms if stats else {}
-    return {
-        "step": step,
-        "loss_sup": stats.loss_sup if stats else 0.0,
-        "loss_unsup": stats.loss_unsup if stats else 0.0,
-        "loss_mom_total": stats.loss_mom_total if stats else 0.0,
-        "loss_mom_p1": mom_terms.get(1, 0.0),
-        "loss_mom_p2": mom_terms.get(2, 0.0),
-        "loss_mom_p3": mom_terms.get(3, 0.0),
-        "loss_mom_p4": mom_terms.get(4, 0.0),
-        "pseudo_rate": stats.pseudo_rate if stats else 0.0,
-        "pseudo_acc": stats.pseudo_acc if stats else 1.0,
-        "outlier_tau": stats.outlier_tau if stats else 0.0,
-        "outlier_rate": stats.outlier_rate if stats else 0.0,
-        "test_acc": ev.accuracy,
-        "compactness": ev.compactness,
-    }
+def _metrics_row(step: int, stats: StepStats, ev: EvalResult) -> dict:
+    # MetricsReport.append keeps only the CSV's columns.
+    return {"step": step, **asdict(stats), "test_acc": ev.accuracy,
+            "compactness": ev.compactness}
 
 
 def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
@@ -443,6 +422,8 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     metrics.csv, manifest.json, and checkpoint.bin there, each to a
     temporary file renamed into place. Returns ``(report, state, manifest)``.
     """
+    # Call-time imports: ``config`` imports this module, and the benchmark's
+    # tracer patches ``checkpoint.save_checkpoint`` where it is defined.
     from .checkpoint import model_arrays, save_checkpoint
     from .config import config_hash, flatten_config
 
@@ -450,8 +431,7 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     dataset = generate(data_spec)
     state = init_state(config, dataset)
     report = MetricsReport()
-    stats: StepStats | None = None
-    report.append(_metrics_row(0, None, evaluate(state, dataset.test_x, dataset.test_y)))
+    report.append(_metrics_row(0, StepStats(), evaluate(state, dataset.test_x, dataset.test_y)))
 
     for step in range(1, config.steps + 1):
         if config.gate.enabled and state.step % state.gate.refresh_every == 0:
@@ -482,6 +462,6 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
         with atomic_write(out_dir / "manifest.json") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
-        with _SwappedParams(state):  # the weights the final metrics were measured on
+        with _ema_weights(state):  # the weights the final metrics were measured on
             save_checkpoint(out_dir / "checkpoint.bin", model_arrays(state.backbone, state.head))
     return report, state, manifest

@@ -32,13 +32,23 @@ data.noise = 0.12
 CONSTRAINT_VIOLATIONS = [
     ("mom.weights = 1,1,1", "order_weights must have 4 entries"),
     ("mom.weights = 1,-1,1,1", "order weights must be nonnegative"),
-    ("opt.lr = 0", "learning rate and clip norm must be positive"),
+    ("opt.lr = 0", "lr must be positive"),
+    ("opt.clip_norm = 0", "clip_norm must be positive"),
     ("opt.momentum = 1", "momentum must be in [0, 1)"),
+    ("opt.weight_decay = -1", "weight_decay must be nonnegative"),
+    ("ssl.lambda_u = -1", "lambda_u must be nonnegative"),
     ("ssl.conf_threshold = 0", "conf_threshold must be in (0, 1]"),
     ("ssl.ema_decay = 1", "ema_decay must be in [0, 1)"),
-    ("run.eval_every = 0", "steps must be >= 0 and eval_every >= 1"),
+    ("run.steps = -1", "steps must be nonnegative"),
+    ("run.eval_every = 0", "eval_every must be at least 1"),
+    ("ssl.labeled_batch = 0", "labeled_batch must be at least 1"),
+    ("ssl.unlabeled_ratio = 0", "unlabeled_ratio must be at least 1"),
+    ("head.latent_dim = 0", "latent_dim must be at least 1"),
     ("gate.refresh = 0", "refresh_every must be at least 1"),
     ("data.classes = 1", "need at least 2 classes"),
+    ("data.labels_per_class = 0", "labels_per_class must be at least 1"),
+    ("data.unlabeled = 0", "n_unlabeled must be at least 1"),
+    ("data.test = 0", "n_test must be at least 1"),
     ("data.outlier_frac = 0.5", "outlier_frac must be in [0, 0.5)"),
     ("head.kind = linear\ngate.enabled = true", "the outlier gate needs a mixture head"),
     ("run.seed = -1", "the run seed must be nonnegative"),
@@ -292,6 +302,10 @@ class TestCli:
         config_path.write_text("run.steps=never\n")
         assert main(["train", str(config_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_each_constraint_message_names_one_violation(self):
+        messages = [message for _, message in CONSTRAINT_VIOLATIONS]
+        assert len(set(messages)) == len(messages)
 
     @pytest.mark.parametrize("text, message", CONSTRAINT_VIOLATIONS,
                              ids=[text.replace("\n", "; ") for text, _ in CONSTRAINT_VIOLATIONS])

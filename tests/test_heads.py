@@ -108,7 +108,7 @@ class TestLogJoint:
     def test_method_rejects_a_width_that_would_broadcast(self, kind):
         head = init_head(kind, 3, 2, seed=0)
         with pytest.raises(ValueError, match="width 2"):
-            head.log_joint(Tensor(np.zeros((5, 1))))
+            head.class_log_scores(Tensor(np.zeros((5, 1))))
 
     def test_linear_head_has_no_joint(self):
         head = init_head("linear", 3, 4, seed=0)
@@ -336,7 +336,7 @@ class TestFusedLogJoint:
         head = self.head(kind, 3)
         for n in self.row_counts(4, self.DIM):
             z = Tensor(rng.normal(scale=2.0, size=(n, self.DIM)))
-            fused = head.log_joint(z)
+            fused = head.class_log_scores(z)
             assert fused.tape is None
             assert bits(fused.data) == bits(chain_log_joint(head, z).data)
 
@@ -348,7 +348,7 @@ class TestFusedLogJoint:
         head = self.head(kind, 3, classes=classes, dim=dim)
         for n in self.row_counts(classes, dim):
             z = Tensor(rng.normal(scale=2.0, size=(n, dim)))
-            assert bits(head.log_joint(z).data) == bits(chain_log_joint(head, z).data)
+            assert bits(head.class_log_scores(z).data) == bits(chain_log_joint(head, z).data)
 
     @staticmethod
     def taped_grads(head, z_value, weights, log_joint_fn):
@@ -369,7 +369,7 @@ class TestFusedLogJoint:
         for n in self.row_counts(classes, self.DIM):
             z = rng.normal(scale=2.0, size=(n, self.DIM))
             w = rng.normal(size=(n, classes))
-            fused = self.taped_grads(head, z, w, lambda h, t, tape: h.log_joint(t, tape))
+            fused = self.taped_grads(head, z, w, lambda h, t, tape: h.class_log_scores(t, tape))
             chain = self.taped_grads(head, z, w, chain_log_joint)
             assert len(fused) == (4 if kind == "aagmm" else 3)
             for a, b in zip(fused, chain):
@@ -379,19 +379,19 @@ class TestFusedLogJoint:
     def test_one_tape_record_besides_the_leaves(self):
         head = self.head("aagmm", 1)
         tape = Tape()
-        head.log_joint(Tensor(np.zeros((2, self.DIM)), tape), tape)
+        head.class_log_scores(Tensor(np.zeros((2, self.DIM)), tape), tape)
         assert len(tape) == 3  # centers leaf, log_var leaf, the primitive
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_non_finite_variance_raises(self, n):
         head = AagmmHead(np.zeros((2, 2)), np.full((2, 2), -800.0))  # exp(800) overflows
         with pytest.raises(NonFiniteError, match="log_joint"):
-            head.log_joint(Tensor(np.ones((n, 2))))
+            head.class_log_scores(Tensor(np.ones((n, 2))))
 
     def test_far_point_raises(self):
         head = KmeansHead(np.zeros((2, 2)))
         with pytest.raises(NonFiniteError, match="log_joint"):
-            head.log_joint(Tensor(np.full((1, 2), 1e300)))
+            head.class_log_scores(Tensor(np.full((1, 2), 1e300)))
 
 
 def chain_dense(h, w, b, slope):

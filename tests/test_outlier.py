@@ -132,7 +132,7 @@ class TestBlockedScores:
         def outputs(budget):
             monkeypatch.setattr(heads, "DISTANCE_BLOCK_ENTRIES", budget)
             return [scores(head, z, "max"), scores(head, z, "min"),
-                    head.log_joint(Tensor(z)).data]
+                    head.class_log_scores(Tensor(z)).data]
 
         assert len(row_blocks(z.shape[0], centers.size, BLOCK_ENTRIES)) == 25
         assert len(row_blocks(z.shape[0], centers.size, DISTANCE_BLOCK_ENTRIES)) == 4

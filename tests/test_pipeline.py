@@ -20,6 +20,7 @@ from gmix.checkpoint import load_checkpoint
 from gmix.config import parse_config_text
 from gmix.datasets import SyntheticSpec, generate
 from gmix.heads import log_conditional
+from gmix.metrics import CSV_COLUMNS
 from gmix.moments import MomentSpec, mom_loss
 from gmix.pipeline import (
     GateConfig,
@@ -384,7 +385,19 @@ class TestRun:
         config = small_config(steps=0)
         report, _, _ = run(config, SMALL_DATA)
         assert len(report.rows) == 1
-        assert report.rows[0]["step"] == 0
+        row = report.rows[0]
+        assert row["step"] == 0
+        zero = [c for c in CSV_COLUMNS if c.startswith("loss_")]
+        zero += ["pseudo_rate", "outlier_tau", "outlier_rate"]
+        assert len(zero) == 10
+        assert all(row[c] == 0.0 for c in zero)
+        assert row["pseudo_acc"] == 1.0
+
+    def test_orders_above_the_run_read_zero(self):
+        report, _, _ = run(small_config(steps=5, moments=MomentSpec(max_order=2)), SMALL_DATA)
+        row = report.rows[-1]
+        assert row["loss_mom_p3"] == row["loss_mom_p4"] == 0.0
+        assert row["loss_mom_p1"] != 0.0 and row["loss_mom_p2"] != 0.0
 
     def test_rows_at_eval_cadence_and_final(self):
         config = small_config(steps=25, eval_every=10)
