@@ -521,12 +521,19 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns the scaling factor applied (1.0 when no clipping happened).
+    A finite gradient whose sum of squares overflows is measured again,
+    divided by its largest entry and scaled back (Anderson 2017, "Safe
+    scaling in the Level 1 BLAS"), so it is clipped rather than zeroed.
     """
     params = list(params)
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
+    if not math.isfinite(total):
+        big = max(float(np.max(np.abs(p.grad), initial=0.0)) for p in params)
+        if math.isfinite(big):
+            norm = big * math.sqrt(sum(float(np.sum(np.square(p.grad / big))) for p in params))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params:

@@ -1,13 +1,14 @@
 """Backbone and final classification layers.
 
 The mixture heads model one axis-aligned Gaussian cluster per class in
-the latent space, so they expose the per-class joint densities, the
-mixture prior, and the Bayes conditional. All density arithmetic runs
-in log-space; probabilities are only materialized through a shifted
-softmax, which stays finite for points arbitrarily far from every
-cluster center. Every head scores the classes through one method,
-``class_log_scores``: the per-class log joint for a mixture head, the
-logits for the linear head.
+the latent space, so they expose the per-class joint densities and the
+Bayes conditional. All density arithmetic runs in log-space;
+probabilities are only materialized through a shifted softmax, which
+stays finite for points arbitrarily far from every cluster center. Every
+head scores the classes through one method, ``class_log_scores``: the
+per-class log joint for a mixture head, the logits for the linear head.
+With uniform weights 1/K, the mixture's log density of a sample is
+``logsumexp(class_log_scores, axis=1) - log K``.
 
 Both mixture heads evaluate their per-class log joint density through
 one primitive, :func:`_mixture_log_joint`: one tape record with a
@@ -51,7 +52,6 @@ from .autodiff import (
     _result,
     _unbroadcast,
     exp,
-    logsumexp,
     row_blocks,
 )
 
@@ -254,24 +254,6 @@ class LinearSoftmaxHead:
 
     def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
         return _dense_layer(z, self.weight.use(tape), self.bias.use(tape), None)
-
-
-def log_joint(head, z, tape: Tape | None = None) -> Tensor:
-    """Per-class log joint density, shape (n, K). Mixture heads only."""
-    if not head.generative:
-        raise TypeError(f"{head.kind} head does not model a joint density")
-    z = z if isinstance(z, Tensor) else Tensor(z)
-    return head.class_log_scores(z, tape)
-
-
-def log_prior(head, z, tape: Tape | None = None) -> Tensor:
-    """Log mixture density of the sample itself, shape (n,).
-
-    Uniform mixture weights 1/K make the summed per-class densities a
-    proper density.
-    """
-    lj = log_joint(head, z, tape)
-    return logsumexp(lj, axis=1) - math.log(head.n_classes)
 
 
 def log_conditional(head, z, tape: Tape | None = None) -> Tensor:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .heads import squared_distance_blocks
 
 GATE_MODES = ("max", "min")
@@ -32,14 +33,13 @@ GATE_MODES = ("max", "min")
 class OutlierGate:
     """Percentile-thresholded score gate with a cached threshold.
 
-    An unfitted gate rejects nothing; callers can check ``fitted``
-    before masking. ``refresh_every`` is the training-step cadence at
-    which the threshold is refit on current labeled embeddings.
+    It holds only what scoring reads: ``percentile``, ``mode`` and the
+    fitted ``tau``. An unfitted gate rejects nothing; callers can check
+    ``fitted`` before masking.
     """
 
     percentile: float = 90.0
     mode: str = "max"
-    refresh_every: int = 50
     tau: float | None = field(default=None)
 
     def __post_init__(self) -> None:
@@ -47,8 +47,6 @@ class OutlierGate:
             raise ValueError("percentile must be in (0, 100]")
         if self.mode not in GATE_MODES:
             raise ValueError(f"mode must be one of {GATE_MODES}")
-        if self.refresh_every < 1:
-            raise ValueError("refresh_every must be at least 1")
 
     @property
     def fitted(self) -> bool:
@@ -59,7 +57,9 @@ def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
     """Aggregated Mahalanobis score of each sample, shape (n,).
 
     A single sample may be given as a 1-D vector. Embeddings whose width
-    is not the head's latent dimension raise ``ValueError``.
+    is not the head's latent dimension raise ``ValueError``. Variances
+    that are not finite raise ``NonFiniteError``: an infinite variance
+    would score every sample 0 and keep it.
     """
     if mode not in GATE_MODES:
         raise ValueError(f"mode must be one of {GATE_MODES}")
@@ -67,6 +67,8 @@ def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
     variances = head.variances()
     if np.any(variances <= 0.0):
         raise ValueError("variances must be strictly positive")
+    if not np.all(np.isfinite(variances)):
+        raise NonFiniteError(f"{head.kind} head variances are not finite")
     aggregate = np.maximum.reduce if mode == "max" else np.minimum.reduce
     out = np.empty(z.shape[0])
     for lo, hi, quad in squared_distance_blocks(z, head.centers.value, variances, np.divide):

@@ -58,15 +58,10 @@ class GateConfig:
     exclude_from_mom: bool = True
 
     def __post_init__(self) -> None:
-        # Same constraints as the gate itself, enforced at parse time.
-        OutlierGate(self.percentile, self.mode, self.refresh_every)
-
-    def build(self) -> OutlierGate:
-        return OutlierGate(
-            percentile=self.percentile,
-            mode=self.mode,
-            refresh_every=self.refresh_every,
-        )
+        # The gate's own constraints, enforced at parse time.
+        OutlierGate(self.percentile, self.mode)
+        if self.refresh_every < 1:
+            raise ValueError("refresh_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,7 @@ def init_state(config: RunConfig, dataset: Dataset) -> TrainState:
         backbone=backbone,
         head=head,
         optimizer=optimizer,
-        gate=config.gate.build(),
+        gate=OutlierGate(config.gate.percentile, config.gate.mode),
         unlabeled_status=np.full(spec.n_unlabeled, -1, dtype=np.int64),
         rng=np.random.default_rng(batch_seed),
         ema=ema,
@@ -434,12 +429,12 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     report.append(_metrics_row(0, StepStats(), evaluate(state, dataset.test_x, dataset.test_y)))
 
     for step in range(1, config.steps + 1):
-        if config.gate.enabled and state.step % state.gate.refresh_every == 0:
-            labeled_z = state.backbone.embed(Tensor(dataset.labeled_x))
-            fit_threshold(state.gate, labeled_z.data, state.head)
-        labeled = sample_labeled(dataset, state.rng, config)
-        unlabeled = sample_unlabeled(dataset, state.rng, config) if config.ssl_active else None
         try:
+            if config.gate.enabled and state.step % config.gate.refresh_every == 0:
+                labeled_z = state.backbone.embed(Tensor(dataset.labeled_x))
+                fit_threshold(state.gate, labeled_z.data, state.head)
+            labeled = sample_labeled(dataset, state.rng, config)
+            unlabeled = sample_unlabeled(dataset, state.rng, config) if config.ssl_active else None
             stats = train_step(state, labeled, unlabeled, config)
         except FloatingPointError as e:
             raise FloatingPointError(f"step {step}: {e}") from e

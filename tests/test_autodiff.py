@@ -302,6 +302,18 @@ class TestClipGlobalNorm:
         clip_global_norm([p], 1.0)
         assert np.linalg.norm(p.grad) <= 1.0 + 1e-12
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("grads", [[[1e155, 0.0, 0.0]],
+                                       [[1e155, -3e154, 2e154], [5e154, 1.0]]])
+    def test_finite_gradient_whose_square_sum_overflows_is_clipped(self, grads):
+        params = [Parameter(np.zeros(len(g))) for g in grads]
+        for p, g in zip(params, grads):
+            p.grad[:] = g
+        scale = clip_global_norm(params, 2.5)
+        assert scale > 0.0
+        norm = math.sqrt(sum(np.sum(np.square(p.grad)) for p in params))
+        assert norm == pytest.approx(2.5, rel=1e-12)
+
     def test_idempotent(self, rng):
         p = Parameter(np.zeros(10))
         p.grad[:] = rng.uniform(-5, 5, 10)

@@ -1,11 +1,15 @@
 """Config-file parsing contracts and CLI subcommand behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmix
 from gmix import cli, moments
 from gmix.cli import main
 from gmix.config import SCHEMA, ConfigError, _lookup, config_hash, parse_config_text
@@ -302,6 +306,24 @@ class TestCli:
         config_path.write_text("run.steps=never\n")
         assert main(["train", str(config_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path):
+        # A learning rate of 1e6 moves the weights so far in one clipped step
+        # that the second step's log joint overflows.
+        config_path = tmp_path / "diverge.cfg"
+        config_path.write_text(TINY_RUN + "opt.lr = 1e6\n")
+        out_root = tmp_path / "runs"
+        env = {**os.environ, "PYTHONPATH": str(Path(gmix.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmix.cli", "train", str(config_path),
+             "--out-root", str(out_root)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: step 2: log_joint produced a non-finite value"]
+        assert not out_root.exists()
 
     def test_each_constraint_message_names_one_violation(self):
         messages = [message for _, message in CONSTRAINT_VIOLATIONS]

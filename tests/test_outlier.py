@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gmix import heads
-from gmix.autodiff import BLOCK_ENTRIES, Tensor, row_blocks
+from gmix.autodiff import BLOCK_ENTRIES, NonFiniteError, Tensor, row_blocks
 from gmix.heads import DISTANCE_BLOCK_ENTRIES, AagmmHead, KmeansHead
 from gmix.outlier import (
     OutlierGate,
@@ -149,6 +149,19 @@ class TestBlockedScores:
         gate.tau = 1.0
         with pytest.raises(ValueError, match="width 2"):
             mask(gate, head, np.zeros((5, 3)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_variances_are_rejected(self):
+        # exp(800) overflows: every distance would be 0 and every row kept.
+        head = AagmmHead(np.zeros((2, 3)), np.full((2, 3), 800.0))
+        gate = OutlierGate()
+        with pytest.raises(NonFiniteError, match="aagmm head variances are not finite"):
+            scores(head, np.ones((4, 3)))
+        with pytest.raises(NonFiniteError, match="aagmm head variances"):
+            fit_threshold(gate, np.ones((4, 3)), head)
+        gate.tau = 1.0
+        with pytest.raises(NonFiniteError, match="aagmm head variances"):
+            mask(gate, head, np.ones((4, 3)))
 
 
 class TestFitThreshold:

@@ -19,9 +19,10 @@ from gmix.autodiff import (
 from gmix.checkpoint import load_checkpoint
 from gmix.config import parse_config_text
 from gmix.datasets import SyntheticSpec, generate
-from gmix.heads import log_conditional
+from gmix.heads import init_head, log_conditional
 from gmix.metrics import CSV_COLUMNS
 from gmix.moments import MomentSpec, mom_loss
+from gmix.outlier import fit_threshold
 from gmix.pipeline import (
     GateConfig,
     RunConfig,
@@ -482,17 +483,39 @@ class TestGateRefresh:
         dataset = generate(SMALL_DATA)
         state = init_state(config, dataset)
         taus = []
-        from gmix.autodiff import Tensor as T
-        from gmix.outlier import fit_threshold as fit
         for step in range(config.steps):
-            if step % state.gate.refresh_every == 0:
-                z = state.backbone.embed(T(dataset.labeled_x)).data
-                fit(state.gate, z, state.head)
+            if step % config.gate.refresh_every == 0:
+                z = state.backbone.embed(Tensor(dataset.labeled_x)).data
+                fit_threshold(state.gate, z, state.head)
                 taus.append(state.gate.tau)
             labeled = sample_labeled(dataset, state.rng, config)
             unlabeled = sample_unlabeled(dataset, state.rng, config)
             train_step(state, labeled, unlabeled, config)
         assert len(set(taus)) > 1  # parameters moved, so the refit moved
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("site", ["refit", "mask"])
+    def test_infinite_variances_fault_a_gated_step(self, monkeypatch, site):
+        # The variances overflow before the step-0 refit or just after it, so
+        # the refit or the first step's gate mask faults instead of keeping
+        # every row; either way the error names the step.
+        def overflow(head):
+            head.log_var.value[...] = 800.0
+            return head
+
+        def fit_then_overflow(gate, labeled_z, head):
+            fit_threshold(gate, labeled_z, head)
+            overflow(head)
+
+        if site == "refit":
+            monkeypatch.setattr(pipeline, "init_head",
+                                lambda *args, **kw: overflow(init_head(*args, **kw)))
+        else:
+            monkeypatch.setattr(pipeline, "fit_threshold", fit_then_overflow)
+        config = small_config(steps=3, gate=GateConfig(enabled=True))
+        with pytest.raises(FloatingPointError,
+                           match="^step 1: aagmm head variances are not finite$"):
+            run(config, SMALL_DATA)
 
 
 class TestConfigValidation:
