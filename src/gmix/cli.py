@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import signal
 import sys
 from multiprocessing import Pool
 from pathlib import Path
@@ -187,7 +188,9 @@ def _cmd_sweep(args) -> int:
         tasks.append((base_text + "\n" + overlay, str(_out_root(args.out_root))))
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
-        with Pool(min(jobs, len(tasks))) as pool:
+        # Workers ignore Ctrl-C: the parent alone reports it, and its pool exit stops them.
+        with Pool(min(jobs, len(tasks)), initializer=signal.signal,
+                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             results = pool.map(_sweep_worker, tasks)
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -258,6 +261,9 @@ def main(argv=None) -> int:
     except (ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

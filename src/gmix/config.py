@@ -117,12 +117,25 @@ def _lookup(roots: dict, path: str):
     return reduce(getattr, attrs, roots[root])
 
 
-def _rebuild(default, fields: dict):
-    """``default`` with ``fields`` replaced; a nested dict rebuilds that field's dataclass."""
-    return replace(default, **{
-        name: _rebuild(getattr(default, name), v) if isinstance(v, dict) else v
+_KEY_OF_PATH = {k.path: key for key, k in SCHEMA.items()}
+
+
+def _rebuild(default, fields: dict, path: str):
+    """``default`` (the field at ``path``) with ``fields`` replaced; a nested
+    dict rebuilds that field's dataclass.
+
+    A constraint message that starts with a field name is raised as a
+    ``ConfigError`` that starts with that field's key instead.
+    """
+    changes = {
+        name: _rebuild(getattr(default, name), v, f"{path}.{name}") if isinstance(v, dict) else v
         for name, v in fields.items()
-    })
+    }
+    try:
+        return replace(default, **changes)
+    except ValueError as e:
+        name, sep, rest = str(e).partition(" ")
+        raise ConfigError(_KEY_OF_PATH.get(f"{path}.{name}", name) + sep + rest) from None
 
 
 def parse_config_text(text: str, source: str = "<config>"):
@@ -164,9 +177,9 @@ def parse_config_text(text: str, source: str = "<config>"):
                 node = node.setdefault(name, {})
             node[leaf] = values[key]
     try:
-        run_config = _rebuild(RunConfig(), fields["run"])
-        data_spec = _rebuild(SyntheticSpec(), fields["data"])
-    except ValueError as e:
+        run_config = _rebuild(RunConfig(), fields["run"], "run")
+        data_spec = _rebuild(SyntheticSpec(), fields["data"], "data")
+    except ConfigError as e:
         raise ConfigError(f"{source}: {e}") from None
     return run_config, data_spec, flatten_config(run_config, data_spec)
 

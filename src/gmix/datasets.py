@@ -58,7 +58,7 @@ class SyntheticSpec:
         if self.kind == "two-moons" and self.n_classes != 2:
             raise ValueError("two-moons generates exactly 2 classes")
         if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise ValueError("n_classes must be at least 2")
         if self.ambient_dim < 2:
             raise ValueError("ambient_dim must be at least 2")
         for name in ("labels_per_class", "n_unlabeled", "n_test"):
@@ -71,7 +71,7 @@ class SyntheticSpec:
         if self.cluster_noise <= 0.0:
             raise ValueError("cluster_noise must be positive")
         if self.seed < 0:
-            raise ValueError("the dataset seed must be nonnegative")
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -2,33 +2,54 @@
 
 Empty-set conventions keep early-training rows well-defined: keeping no
 pseudo-labels yields accuracy 1 (there is nothing to be wrong about yet).
-The CSV schema is documented in the README.
+The metrics row's schema lives here and only here: ``StepStats`` declares
+its training columns, ``EvalResult`` its evaluation ones, and
+``CSV_COLUMNS`` is derived from the two. The README documents the CSV.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .fileio import atomic_write
 
-CSV_COLUMNS = (
-    "step",
-    "loss_sup",
-    "loss_unsup",
-    "loss_mom_total",
-    "loss_mom_p1",
-    "loss_mom_p2",
-    "loss_mom_p3",
-    "loss_mom_p4",
-    "pseudo_rate",
-    "pseudo_acc",
-    "outlier_tau",
-    "outlier_rate",
-    "test_acc",
-    "compactness",
-)
+
+_NOT_A_COLUMN = {"column": False}
+
+
+@dataclass(slots=True)
+class StepStats:
+    """One training step's numbers: the metrics row's training columns.
+
+    The defaults are the step-0 row's values, before any step ran.
+    """
+
+    loss_total: float = field(default=0.0, metadata=_NOT_A_COLUMN)
+    grad_scale: float = field(default=1.0, metadata=_NOT_A_COLUMN)
+    loss_sup: float = 0.0
+    loss_unsup: float = 0.0
+    loss_mom_total: float = 0.0
+    loss_mom_p1: float = 0.0
+    loss_mom_p2: float = 0.0
+    loss_mom_p3: float = 0.0
+    loss_mom_p4: float = 0.0
+    pseudo_rate: float = 0.0
+    pseudo_acc: float = 1.0  # nothing kept, nothing wrong
+    outlier_tau: float = 0.0
+    outlier_rate: float = 0.0
+
+
+@dataclass
+class EvalResult:
+    accuracy: float
+    per_class: np.ndarray
+    compactness: float
+
+
+_TRAIN_COLUMNS = tuple(f.name for f in fields(StepStats) if f.metadata.get("column", True))
+CSV_COLUMNS = ("step", *_TRAIN_COLUMNS, "test_acc", "compactness")
 
 
 @dataclass
@@ -37,16 +58,15 @@ class MetricsReport:
 
     rows: list[dict] = field(default_factory=list)
 
-    def append(self, row: dict) -> None:
-        missing = set(CSV_COLUMNS) - set(row)
-        if missing:
-            raise ValueError(f"metrics row is missing columns: {sorted(missing)}")
-        if self.rows and row["step"] <= self.rows[-1]["step"]:
+    def append(self, step: int, stats: StepStats, ev: EvalResult) -> None:
+        if self.rows and step <= self.rows[-1]["step"]:
             raise ValueError("metrics steps must strictly increase")
-        for key in CSV_COLUMNS:
-            if not np.isfinite(row[key]):
-                raise ValueError(f"non-finite metrics entry {key}={row[key]!r}")
-        self.rows.append({k: row[k] for k in CSV_COLUMNS})
+        row = {"step": step, **{k: getattr(stats, k) for k in _TRAIN_COLUMNS},
+               "test_acc": ev.accuracy, "compactness": ev.compactness}
+        for key, value in row.items():
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite metrics entry {key}={value!r}")
+        self.rows.append(row)
 
     def to_csv(self, path) -> None:
         with atomic_write(path) as f:

@@ -70,7 +70,7 @@ class MomentSpec:
         if len(self.order_weights) != MAX_ORDER:
             raise ValueError(f"order_weights must have {MAX_ORDER} entries")
         if any(w < 0 for w in self.order_weights):
-            raise ValueError("order weights must be nonnegative")
+            raise ValueError("order_weights must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 

@@ -12,6 +12,10 @@ estimate, while the strong view carries deliberate augmentation noise
 that a shape constraint should not chase. Both choices are config
 options. Pseudo-labels are extracted from detached weak-view
 probabilities, so no gradient flows through the labeling decision.
+
+A step's numbers come back as a ``metrics.StepStats`` and an evaluation's
+as a ``metrics.EvalResult``; ``gmix.metrics`` builds the metrics row from
+the two and owns its schema.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,7 @@ from .autodiff import (
 from .datasets import Dataset, SyntheticSpec, augment_strong, augment_weak, generate
 from .fileio import atomic_write
 from .heads import HEAD_KINDS, Backbone, conditional, init_head, log_conditional
-from .metrics import MetricsReport, compactness, pseudo_quality
+from .metrics import EvalResult, MetricsReport, StepStats, compactness, pseudo_quality
 from .moments import MomentSpec, mom_loss
 from .outlier import OutlierGate, fit_threshold, mask as gate_mask
 
@@ -91,7 +95,7 @@ class RunConfig:
         if self.head_kind not in HEAD_KINDS:
             raise ValueError(f"head_kind must be one of {HEAD_KINDS}")
         if self.seed < 0:
-            raise ValueError("the run seed must be nonnegative")
+            raise ValueError("seed must be nonnegative")
         for name in ("lr", "clip_norm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -173,35 +177,6 @@ class UnlabeledBatch:
     weak: np.ndarray
     strong: np.ndarray
     true_labels: np.ndarray
-
-
-@dataclass(slots=True)
-class StepStats:
-    """One training step's numbers: the metrics row's training columns.
-
-    The defaults are the step-0 row's values, before any step ran.
-    """
-
-    loss_total: float = 0.0
-    grad_scale: float = 1.0
-    loss_sup: float = 0.0
-    loss_unsup: float = 0.0
-    loss_mom_total: float = 0.0
-    loss_mom_p1: float = 0.0
-    loss_mom_p2: float = 0.0
-    loss_mom_p3: float = 0.0
-    loss_mom_p4: float = 0.0
-    pseudo_rate: float = 0.0
-    pseudo_acc: float = 1.0  # nothing kept, nothing wrong
-    outlier_tau: float = 0.0
-    outlier_rate: float = 0.0
-
-
-@dataclass
-class EvalResult:
-    accuracy: float
-    per_class: np.ndarray
-    compactness: float
 
 
 def init_state(config: RunConfig, dataset: Dataset) -> TrainState:
@@ -403,17 +378,21 @@ def evaluate(state: TrainState, x: np.ndarray, y: np.ndarray) -> EvalResult:
     return EvalResult(accuracy=accuracy, per_class=per_class, compactness=compact)
 
 
-def _metrics_row(step: int, stats: StepStats, ev: EvalResult) -> dict:
-    # MetricsReport.append keeps only the CSV's columns.
-    return {"step": step, **asdict(stats), "test_acc": ev.accuracy,
-            "compactness": ev.compactness}
+def _evaluate_at(step: int, state: TrainState, dataset: Dataset) -> EvalResult:
+    """``evaluate`` on the test split; a numeric fault names the step."""
+    try:
+        return evaluate(state, dataset.test_x, dataset.test_y)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"step {step}: eval: {e}") from e
 
 
 def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     """Execute a full training run.
 
     Emits one metrics row at step 0 and every ``eval_every`` steps
-    (always including the final step). When ``out_dir`` is given, writes
+    (always including the final step). A numeric fault raises
+    ``FloatingPointError`` as ``step N: ...``, or ``step N: eval: ...``
+    when evaluation raised it. When ``out_dir`` is given, writes
     metrics.csv, manifest.json, and checkpoint.bin there, each to a
     temporary file renamed into place. Returns ``(report, state, manifest)``.
     """
@@ -426,7 +405,7 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     dataset = generate(data_spec)
     state = init_state(config, dataset)
     report = MetricsReport()
-    report.append(_metrics_row(0, StepStats(), evaluate(state, dataset.test_x, dataset.test_y)))
+    report.append(0, StepStats(), _evaluate_at(0, state, dataset))
 
     for step in range(1, config.steps + 1):
         try:
@@ -439,8 +418,7 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
         except FloatingPointError as e:
             raise FloatingPointError(f"step {step}: {e}") from e
         if step % config.eval_every == 0 or step == config.steps:
-            ev = evaluate(state, dataset.test_x, dataset.test_y)
-            report.append(_metrics_row(step, stats, ev))
+            report.append(step, stats, _evaluate_at(step, state, dataset))
 
     flat = flatten_config(config, data_spec)
     manifest = {

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,29 +36,32 @@ data.noise = 0.12
 
 # A config that breaks one dataclass constraint, and the message it gives.
 CONSTRAINT_VIOLATIONS = [
-    ("mom.weights = 1,1,1", "order_weights must have 4 entries"),
-    ("mom.weights = 1,-1,1,1", "order weights must be nonnegative"),
-    ("opt.lr = 0", "lr must be positive"),
-    ("opt.clip_norm = 0", "clip_norm must be positive"),
-    ("opt.momentum = 1", "momentum must be in [0, 1)"),
-    ("opt.weight_decay = -1", "weight_decay must be nonnegative"),
-    ("ssl.lambda_u = -1", "lambda_u must be nonnegative"),
-    ("ssl.conf_threshold = 0", "conf_threshold must be in (0, 1]"),
-    ("ssl.ema_decay = 1", "ema_decay must be in [0, 1)"),
-    ("run.steps = -1", "steps must be nonnegative"),
-    ("run.eval_every = 0", "eval_every must be at least 1"),
-    ("ssl.labeled_batch = 0", "labeled_batch must be at least 1"),
-    ("ssl.unlabeled_ratio = 0", "unlabeled_ratio must be at least 1"),
-    ("head.latent_dim = 0", "latent_dim must be at least 1"),
-    ("gate.refresh = 0", "refresh_every must be at least 1"),
-    ("data.classes = 1", "need at least 2 classes"),
-    ("data.labels_per_class = 0", "labels_per_class must be at least 1"),
-    ("data.unlabeled = 0", "n_unlabeled must be at least 1"),
-    ("data.test = 0", "n_test must be at least 1"),
-    ("data.outlier_frac = 0.5", "outlier_frac must be in [0, 0.5)"),
+    ("mom.weights = 1,1,1", "mom.weights must have 4 entries"),
+    ("mom.weights = 1,-1,1,1", "mom.weights must be nonnegative"),
+    ("mom.orders = 5", "mom.orders must be in 0..4"),
+    ("gate.percentile = 0", "gate.percentile must be in (0, 100]"),
+    ("opt.lr = 0", "opt.lr must be positive"),
+    ("opt.clip_norm = 0", "opt.clip_norm must be positive"),
+    ("opt.momentum = 1", "opt.momentum must be in [0, 1)"),
+    ("opt.weight_decay = -1", "opt.weight_decay must be nonnegative"),
+    ("ssl.lambda_u = -1", "ssl.lambda_u must be nonnegative"),
+    ("ssl.conf_threshold = 0", "ssl.conf_threshold must be in (0, 1]"),
+    ("ssl.ema_decay = 1", "ssl.ema_decay must be in [0, 1)"),
+    ("run.steps = -1", "run.steps must be nonnegative"),
+    ("run.eval_every = 0", "run.eval_every must be at least 1"),
+    ("ssl.labeled_batch = 0", "ssl.labeled_batch must be at least 1"),
+    ("ssl.unlabeled_ratio = 0", "ssl.unlabeled_ratio must be at least 1"),
+    ("head.latent_dim = 0", "head.latent_dim must be at least 1"),
+    ("gate.refresh = 0", "gate.refresh must be at least 1"),
+    ("data.classes = 1", "data.classes must be at least 2"),
+    ("data.labels_per_class = 0", "data.labels_per_class must be at least 1"),
+    ("data.unlabeled = 0", "data.unlabeled must be at least 1"),
+    ("data.test = 0", "data.test must be at least 1"),
+    ("data.outlier_frac = 0.5", "data.outlier_frac must be in [0, 0.5)"),
+    ("data.noise = 0", "data.noise must be positive"),
     ("head.kind = linear\ngate.enabled = true", "the outlier gate needs a mixture head"),
-    ("run.seed = -1", "the run seed must be nonnegative"),
-    ("data.seed = -1", "the dataset seed must be nonnegative"),
+    ("run.seed = -1", "run.seed must be nonnegative"),
+    ("data.seed = -1", "data.seed must be nonnegative"),
 ]
 
 # Every key whose default is a float or a tuple of floats.
@@ -323,6 +328,42 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert errors == ["error: step 2: log_joint produced a non-finite value"]
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("args, group", [
+        (["train"], False),
+        (["sweep", "--grid", "run.seed=0,1", "--jobs", "2"], True),
+    ], ids=["train", "sweep"])
+    def test_interrupt_prints_one_error_line(self, tmp_path, args, group):
+        # Ctrl-C signals the whole foreground process group; the sweep runs in
+        # its own session, so only its parent and pool workers get the signal.
+        config_path = tmp_path / "long.cfg"
+        config_path.write_text(TINY_RUN.replace("run.steps = 20", "run.steps = 1000000"))
+        out_root = tmp_path / "runs"
+        env = {**os.environ, "PYTHONPATH": str(Path(gmix.__file__).parents[1])}
+        # Say "ready" once the CLI is imported, so the signal lands in main.
+        program = ("import sys; from gmix.cli import main; print('ready', flush=True); "
+                   "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", program, *args, str(config_path), "--out-root", str(out_root)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=group,
+        )
+        kill = (lambda sig: os.killpg(proc.pid, sig)) if group else proc.send_signal
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(1.0)  # past argument parsing and the pool workers' start
+            kill(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                kill(signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 130
+        assert "Traceback" not in stderr
+        assert [line for line in stderr.splitlines() if line.startswith("error:")] == [
+            "error: interrupted"
+        ]
         assert not out_root.exists()
 
     def test_each_constraint_message_names_one_violation(self):

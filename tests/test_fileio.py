@@ -10,7 +10,7 @@ import pytest
 from gmix import cli, metrics, pipeline
 from gmix.checkpoint import save_checkpoint
 from gmix.config import parse_config_text
-from gmix.metrics import CSV_COLUMNS, MetricsReport
+from gmix.metrics import CSV_COLUMNS, EvalResult, MetricsReport, StepStats
 
 
 def listing(directory):
@@ -54,7 +54,7 @@ class TestMetricsCsv:
     def report():
         report = MetricsReport()
         for step in (0, 10):
-            report.append({k: (step if k == "step" else 0.5) for k in CSV_COLUMNS})
+            report.append(step, StepStats(), EvalResult(0.5, np.ones(2), 0.5))
         return report
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):

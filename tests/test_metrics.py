@@ -1,5 +1,8 @@
 """Metric conventions and the metrics table contract."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,10 +10,14 @@ from hypothesis import strategies as st
 
 from gmix.metrics import (
     CSV_COLUMNS,
+    EvalResult,
     MetricsReport,
+    StepStats,
     compactness,
     pseudo_quality,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def outlier_pr(flags_true, flags_pred) -> tuple[float, float]:
@@ -110,37 +117,50 @@ class TestPseudoQuality:
 
 
 class TestMetricsReport:
-    def _row(self, step, **overrides):
-        row = {k: 0.0 for k in CSV_COLUMNS}
-        row["step"] = step
-        row["pseudo_acc"] = 1.0
-        row.update(overrides)
-        return row
+    @staticmethod
+    def append(report, step, test_acc=0.25, **stats):
+        report.append(step, StepStats(**stats), EvalResult(test_acc, np.ones(2), 0.5))
 
     def test_roundtrip_csv(self, tmp_path):
         report = MetricsReport()
-        report.append(self._row(0))
-        report.append(self._row(200, test_acc=0.5))
+        self.append(report, 0)
+        self.append(report, 200, test_acc=0.5)
         path = tmp_path / "metrics.csv"
         report.to_csv(path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
+    def test_row_is_built_from_the_records(self):
+        report = MetricsReport()
+        self.append(report, 7, test_acc=0.75, loss_total=9.0, grad_scale=0.5,
+                    loss_sup=1.5, loss_mom_p4=2.5, outlier_rate=0.125)
+        expected = {k: 0.0 for k in CSV_COLUMNS}
+        expected.update(step=7, loss_sup=1.5, loss_mom_p4=2.5, pseudo_acc=1.0,
+                        outlier_rate=0.125, test_acc=0.75, compactness=0.5)
+        assert list(report.rows[0]) == list(CSV_COLUMNS)
+        assert report.final == expected
+
     def test_steps_must_increase(self):
         report = MetricsReport()
-        report.append(self._row(10))
+        self.append(report, 10)
         with pytest.raises(ValueError, match="increase"):
-            report.append(self._row(10))
+            self.append(report, 10)
 
     def test_entries_must_be_finite(self):
         report = MetricsReport()
         with pytest.raises(ValueError, match="finite"):
-            report.append(self._row(0, loss_sup=float("nan")))
+            self.append(report, 0, loss_sup=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            self.append(report, 0, test_acc=float("inf"))
+        assert report.rows == []
 
-    def test_missing_column_rejected(self):
-        report = MetricsReport()
-        row = self._row(0)
-        del row["compactness"]
-        with pytest.raises(ValueError, match="missing"):
-            report.append(row)
+
+class TestCsvSchema:
+    def test_columns_are_the_readme_list(self):
+        # Pinned here because the golden digests only run on one machine.
+        section = README.read_text().split("## File formats", 1)[1]
+        listed = re.search(r"\*\*Metrics CSV\*\*[^`]*`([^`]*)`", section).group(1)
+        names = tuple(name.strip() for name in listed.split(","))
+        assert len(names) == 14
+        assert CSV_COLUMNS == names

@@ -405,6 +405,22 @@ class TestRun:
         report, _, _ = run(config, SMALL_DATA)
         assert [r["step"] for r in report.rows] == [0, 10, 20, 25]
 
+    @pytest.mark.parametrize("call, step", [(1, 0), (3, 20)])
+    def test_evaluation_fault_names_its_step(self, monkeypatch, call, step):
+        calls = 0
+
+        def faulting_evaluate(*args):
+            nonlocal calls
+            calls += 1
+            if calls == call:
+                raise NonFiniteError("log_joint produced a non-finite value")
+            return evaluate(*args)
+
+        monkeypatch.setattr(pipeline, "evaluate", faulting_evaluate)
+        with pytest.raises(FloatingPointError,
+                           match=f"^step {step}: eval: log_joint produced a non-finite value$"):
+            run(small_config(steps=25, eval_every=10), SMALL_DATA)
+
     def test_determinism_bytes(self, tmp_path):
         config = small_config(steps=20, gate=GateConfig(enabled=True, mode="min"))
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
