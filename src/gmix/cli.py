@@ -3,12 +3,14 @@
 Subcommands: train, eval, gradcheck, moments-selftest, export-embeddings,
 sweep. Outputs land under a per-run directory named by config hash and
 seed, rooted at --out-root, the GMIX_OUT_ROOT environment variable, or
-./runs.
+./runs. Ctrl-C and SIGTERM end a command with one ``error:`` line and
+exit 130 or 143, as a shell reports those signals.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import signal
@@ -170,6 +172,14 @@ def _sweep_worker(task):
     }
 
 
+def _worker_signals() -> None:
+    # Workers ignore Ctrl-C: the parent alone reports it, and its pool exit
+    # stops them. They would inherit the parent's SIGTERM handler, so they
+    # take the default back: the pool's terminate() ends them silently.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -188,9 +198,7 @@ def _cmd_sweep(args) -> int:
         tasks.append((base_text + "\n" + overlay, str(_out_root(args.out_root))))
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
-        # Workers ignore Ctrl-C: the parent alone reports it, and its pool exit stops them.
-        with Pool(min(jobs, len(tasks)), initializer=signal.signal,
-                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        with Pool(min(jobs, len(tasks)), initializer=_worker_signals) as pool:
             results = pool.map(_sweep_worker, tasks)
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -250,9 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class Terminated(BaseException):
+    """SIGTERM arrived. Like KeyboardInterrupt, no ``except Exception`` catches it."""
+
+
+def _raise_terminated(pid: int, signum, frame):
+    if os.getpid() != pid:
+        # A pool worker forked before its initializer reset this handler:
+        # end it by the default action, as the pool's terminate() expects.
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+    raise Terminated
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, functools.partial(_raise_terminated, os.getpid()))
     try:
         return args.fn(args)
     except ConfigError as e:
@@ -264,6 +286,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, as a shell reports it
+    except Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 143  # 128 + SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

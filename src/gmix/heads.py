@@ -10,6 +10,11 @@ per-class log joint for a mixture head, the logits for the linear head.
 With uniform weights 1/K, the mixture's log density of a sample is
 ``logsumexp(class_log_scores, axis=1) - log K``.
 
+KMeans is the AAGMM head with its log variances pinned at an untaped
+constant 0: exp(-0.0) = 1.0, x * 1.0 = x and x - 0.0 = x, so its values
+are the unit-variance formula's bit for bit. A KMeans training step
+records 37 tape entries (35 in global moment mode) against AAGMM's 40
+(36): it has no log-variance leaf, and forms exp(-0.5 * lv) untaped.
 Both mixture heads evaluate their per-class log joint density through
 one primitive, :func:`_mixture_log_joint`: one tape record with a
 hand-derived reverse pass. Taped training, untaped scoring and
@@ -208,32 +213,35 @@ class AagmmHead:
     def parameters(self) -> list[Parameter]:
         return [self.centers, self.log_var]
 
+    def log_variances(self, tape: Tape | None = None) -> Tensor:
+        """The per-class log variances, (K, D): the parameter's leaf on ``tape``."""
+        return self.log_var.use(tape)
+
     def variances(self) -> np.ndarray:
-        return np.exp(self.log_var.value)
+        return np.exp(self.log_variances().data)
 
     def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        return _mixture_log_joint(z, self.centers.use(tape), self.log_var.use(tape))
+        return _mixture_log_joint(z, self.centers.use(tape), self.log_variances(tape))
 
 
-class KmeansHead:
-    """Mixture head restricted to identity covariance: spherical clusters."""
+class KmeansHead(AagmmHead):
+    """The AAGMM head at identity covariance: its log variances are an untaped 0."""
 
     kind = "kmeans"
-    generative = True
 
     def __init__(self, centers: np.ndarray) -> None:
-        centers = np.asarray(centers, dtype=np.float64)
-        self.n_classes, self.latent_dim = centers.shape
         self.centers = Parameter(centers, name="head.centers")
+        self.n_classes, self.latent_dim = self.centers.shape
+        self._log_var = Tensor(np.zeros(self.centers.shape))
 
     def parameters(self) -> list[Parameter]:
         return [self.centers]
 
-    def variances(self) -> np.ndarray:
-        return np.ones((self.n_classes, self.latent_dim))
+    def log_variances(self, tape: Tape | None = None) -> Tensor:
+        return self._log_var
 
     def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        return _mixture_log_joint(z, self.centers.use(tape), None)
+        return _mixture_log_joint(z, self.centers.use(tape), self.log_variances(tape))
 
 
 class LinearSoftmaxHead:
@@ -301,12 +309,12 @@ def _check_width(width: int, z) -> None:
 DISTANCE_BLOCK_ENTRIES = 1 << 18
 
 
-def squared_distance_blocks(z: np.ndarray, centers: np.ndarray, weights=None,
+def squared_distance_blocks(z: np.ndarray, centers: np.ndarray, weights: np.ndarray,
                             weigh=np.multiply):
     """Yield ``(lo, hi, quad)``, the weighted squared distances of rows lo..hi.
 
     ``quad[k, i - lo]`` is the sum over d of ``weigh((z[i, d] - centers[k, d])
-    ** 2, weights[k, d])``, or of the bare squares when ``weights`` is None.
+    ** 2, weights[k, d])``.
     The rows come in blocks of about ``DISTANCE_BLOCK_ENTRIES`` entries.
     Each block is laid out dimension-major in one reused (D, K, rows)
     buffer, so every subtract, square and weighting runs along the rows,
@@ -320,13 +328,12 @@ def squared_distance_blocks(z: np.ndarray, centers: np.ndarray, weights=None,
     blocks = row_blocks(z.shape[0], centers.size, DISTANCE_BLOCK_ENTRIES)
     buf = np.empty((d, k, blocks[0][1] if blocks else 0))
     centers_t = centers.T[:, :, None]
-    weights_t = None if weights is None else weights.T[:, :, None]
+    weights_t = weights.T[:, :, None]
     for lo, hi in blocks:
         sq = buf[:, :, :hi - lo]
         np.subtract(np.ascontiguousarray(z[lo:hi].T)[:, None, :], centers_t, out=sq)
         np.square(sq, out=sq)
-        if weights_t is not None:
-            weigh(sq, weights_t, out=sq)
+        weigh(sq, weights_t, out=sq)
         yield lo, hi, _pairwise_sum0(sq)
 
 
@@ -362,11 +369,11 @@ def _pairwise_sum0(a: np.ndarray) -> np.ndarray:
     return np.add(a[0], 0.0, out=a[0])
 
 
-def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
+def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor) -> Tensor:
     """Axis-aligned Gaussian log density of each row under each class, (n, K).
 
-    ``lv`` holds the log variances; None means unit variances (KMeans).
-    One tape record. The forward is the elementwise chain
+    ``lv`` holds the log variances; KMeans passes constant zeros. One tape
+    record. The forward is the elementwise chain
     ``const - 0.5 * sum(lv) - 0.5 * sum((z - mu)**2 * exp(-lv))`` in that
     order, per row block of :func:`squared_distance_blocks`, written
     through the transposed view of the result. The reverse pass is
@@ -381,23 +388,18 @@ def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
     """
     k, d = mu.shape
     with np.errstate(all="ignore"):
-        base = -0.5 * d * LOG_2PI
-        inv_var = None
-        if lv is not None:
-            inv_var = np.exp(-lv.data)
-            base = base - 0.5 * lv.data.sum(axis=1)
-            # With no rows these are the only values a non-finite lv reaches.
-            _check_finite(inv_var, "log_joint")
-            _check_finite(base, "log_joint")
+        inv_var = np.exp(-lv.data)
+        base = -0.5 * d * LOG_2PI - 0.5 * lv.data.sum(axis=1)
+        # With no rows these are the only values a non-finite lv reaches.
+        _check_finite(inv_var, "log_joint")
+        _check_finite(base, "log_joint")
         data = np.empty((z.shape[0], k))
-        base_t = np.reshape(base, (-1, 1))
         for lo, hi, quad in squared_distance_blocks(z.data, mu.data, inv_var):
             np.multiply(0.5, quad, out=quad)
-            np.subtract(base_t, quad, out=data[lo:hi].T)
+            np.subtract(base[:, None], quad, out=data[lo:hi].T)
     # Every intermediate feeds the result through +, *, exp or sum, so the
     # result is finite exactly when each step of the chain was.
     _check_finite(data, "log_joint")
-    tape = _join_tape(z, mu) if lv is None else _join_tape(z, mu, lv)
 
     memo: dict = {}
 
@@ -406,19 +408,17 @@ def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor | None) -> Tensor:
         if memo.get("g") is not g:
             diff = z.data[:, None, :] - mu.data  # the forward's residuals, recomputed
             gq = ((-g) * 0.5)[:, :, None]
-            gp = gq if inv_var is None else gq * inv_var
-            gd = gp * (2 * diff)
-            memo.update(g=g, z=_unbroadcast(gd, (z.shape[0], 1, d)).reshape(z.shape),
-                        mu=(-gd).sum(axis=0))
-            if lv is not None:
-                ge = (gq * np.square(diff)).sum(axis=0)
-                memo["lv"] = ((-g.sum(axis=0)) * 0.5)[:, None] + (-(ge * inv_var))
+            gd = gq * inv_var * (2 * diff)
+            memo.update(g=g, diff=diff, gq=gq, mu=(-gd).sum(axis=0),
+                        z=_unbroadcast(gd, (z.shape[0], 1, d)).reshape(z.shape))
         return memo
 
-    routes = [(z, lambda g: grads(g)["z"]), (mu, lambda g: grads(g)["mu"])]
-    if lv is not None:
-        routes.append((lv, lambda g: grads(g)["lv"]))
-    return _result(data, tape, *routes)
+    def lv_grad(g):
+        ge = (grads(g)["gq"] * np.square(memo["diff"])).sum(axis=0)
+        return ((-g.sum(axis=0)) * 0.5)[:, None] + (-(ge * inv_var))
+
+    return _result(data, _join_tape(z, mu, lv), (z, lambda g: grads(g)["z"]),
+                   (mu, lambda g: grads(g)["mu"]), (lv, lv_grad))
 
 
 def init_head(kind: str, n_classes: int, latent_dim: int, seed=0):

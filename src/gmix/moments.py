@@ -184,11 +184,8 @@ def centralize(z, mode: str, head=None, sample_mask=None) -> CentralizedBatch:
         if mask is not None:
             resp = resp * Tensor(mask[:, None])
         mu = head.centers.use(tape)
-        if head.kind == "aagmm":
-            inv_sigma = exp(-0.5 * head.log_var.use(tape))
-            pops = (reshape(z, (n, 1, dim)) - mu) * inv_sigma
-        else:
-            pops = reshape(z, (n, 1, dim)) - mu
+        inv_sigma = exp(-0.5 * head.log_variances(tape))
+        pops = (reshape(z, (n, 1, dim)) - mu) * inv_sigma
         return CentralizedBatch(pops, resp, None)
     raise ValueError(f"unknown centralization mode {mode!r}")
 

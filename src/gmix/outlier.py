@@ -59,14 +59,16 @@ def scores(head, z: np.ndarray, mode: str = "max") -> np.ndarray:
     A single sample may be given as a 1-D vector. Embeddings whose width
     is not the head's latent dimension raise ``ValueError``. Variances
     that are not finite raise ``NonFiniteError``: an infinite variance
-    would score every sample 0 and keep it.
+    would score every sample 0 and keep it. A variance of 0 (``exp``
+    underflows to it below a log variance of about -745) raises
+    ``FloatingPointError``: every distance would divide by zero.
     """
     if mode not in GATE_MODES:
         raise ValueError(f"mode must be one of {GATE_MODES}")
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     variances = head.variances()
     if np.any(variances <= 0.0):
-        raise ValueError("variances must be strictly positive")
+        raise FloatingPointError(f"{head.kind} head variances underflowed to 0")
     if not np.all(np.isfinite(variances)):
         raise NonFiniteError(f"{head.kind} head variances are not finite")
     aggregate = np.maximum.reduce if mode == "max" else np.minimum.reduce

@@ -330,13 +330,18 @@ class TestCli:
         assert errors == ["error: step 2: log_joint produced a non-finite value"]
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("sig, code, line", [
+        (signal.SIGINT, 130, "error: interrupted"),
+        (signal.SIGTERM, 143, "error: terminated"),
+    ], ids=["sigint", "sigterm"])
     @pytest.mark.parametrize("args, group", [
         (["train"], False),
         (["sweep", "--grid", "run.seed=0,1", "--jobs", "2"], True),
     ], ids=["train", "sweep"])
-    def test_interrupt_prints_one_error_line(self, tmp_path, args, group):
+    def test_interrupt_prints_one_error_line(self, tmp_path, args, group, sig, code, line):
         # Ctrl-C signals the whole foreground process group; the sweep runs in
         # its own session, so only its parent and pool workers get the signal.
+        # A group-wide SIGTERM reaches the workers too.
         config_path = tmp_path / "long.cfg"
         config_path.write_text(TINY_RUN.replace("run.steps = 20", "run.steps = 1000000"))
         out_root = tmp_path / "runs"
@@ -353,18 +358,27 @@ class TestCli:
         try:
             assert proc.stdout.readline() == "ready\n"
             time.sleep(1.0)  # past argument parsing and the pool workers' start
-            kill(signal.SIGINT)
+            kill(sig)
             _, stderr = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 kill(signal.SIGKILL)
                 proc.communicate()
-        assert proc.returncode == 130
+        assert proc.returncode == code
         assert "Traceback" not in stderr
-        assert [line for line in stderr.splitlines() if line.startswith("error:")] == [
-            "error: interrupted"
-        ]
+        assert [e for e in stderr.splitlines() if e.startswith("error:")] == [line]
         assert not out_root.exists()
+
+    def test_main_restores_the_callers_sigterm_handler(self, tmp_path):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            assert main(["train", str(tmp_path / "missing.cfg")]) == 1
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_each_constraint_message_names_one_violation(self):
         messages = [message for _, message in CONSTRAINT_VIOLATIONS]

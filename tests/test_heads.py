@@ -196,16 +196,26 @@ class TestHeadIdentities:
         np.testing.assert_allclose(conditional(head, z).data, ref, atol=1e-9)
 
     def test_aagmm_unit_variance_reduces_to_kmeans(self, rng):
+        # KMeans is the AAGMM path at log-variance 0, so the two agree bit for
+        # bit, forward and in the taped gradients of z and the centers.
         centers = rng.normal(size=(4, 3))
         a = AagmmHead(centers, np.zeros((4, 3)))
         k = KmeansHead(centers)
         z = rng.normal(scale=2.0, size=(20, 3))
-        np.testing.assert_allclose(
-            scores(a, z).data, scores(k, z).data, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            conditional(a, z).data, conditional(k, z).data, atol=1e-12
-        )
+        assert bits(scores(a, z).data) == bits(scores(k, z).data)
+        assert bits(conditional(a, z).data) == bits(conditional(k, z).data)
+        weights = rng.normal(size=(20, 4))
+
+        def taped(head):
+            head.centers.zero_grad()
+            zp = Parameter(z)
+            tape = Tape()
+            lc = log_conditional(head, zp.use(tape), tape)
+            backward(tsum(lc * Tensor(weights)))
+            return lc.data, zp.grad, head.centers.grad.copy()
+
+        for x, y in zip(taped(a), taped(k)):
+            assert bits(x) == bits(y)
 
 
 class TestForward:
@@ -380,11 +390,14 @@ class TestFusedLogJoint:
                 assert a.shape == b.shape
                 assert bits(a) == bits(b)
 
-    def test_one_tape_record_besides_the_leaves(self):
-        head = self.head("aagmm", 1)
+    # aagmm: centers leaf, log_var leaf, the primitive; kmeans' log variances
+    # are an untaped constant, not a parameter, so it has no second leaf.
+    @pytest.mark.parametrize("kind, records", [("aagmm", 3), ("kmeans", 2)])
+    def test_one_tape_record_besides_the_leaves(self, kind, records):
+        head = self.head(kind, 1)
         tape = Tape()
         head.class_log_scores(Tensor(np.zeros((2, self.DIM)), tape), tape)
-        assert len(tape) == 3  # centers leaf, log_var leaf, the primitive
+        assert len(tape) == records
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_non_finite_variance_raises(self, n):

@@ -53,7 +53,7 @@ class TestMahalanobis:
 
     def test_nonpositive_variance_rejected(self):
         head = AagmmHead(np.zeros((1, 1)), np.full((1, 1), -np.inf))  # variance exp(-inf) = 0
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(FloatingPointError, match="underflowed to 0"):
             scores(head, [1.0])
 
     @given(st.floats(0.01, 100.0))
@@ -151,16 +151,21 @@ class TestBlockedScores:
             mask(gate, head, np.zeros((5, 3)))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_infinite_variances_are_rejected(self):
+    @pytest.mark.parametrize("log_var, error, message", [
         # exp(800) overflows: every distance would be 0 and every row kept.
-        head = AagmmHead(np.zeros((2, 3)), np.full((2, 3), 800.0))
+        (800.0, NonFiniteError, "aagmm head variances are not finite"),
+        # exp(-800) underflows: every distance would divide by zero.
+        (-800.0, FloatingPointError, "aagmm head variances underflowed to 0"),
+    ])
+    def test_variances_out_of_range_are_rejected(self, log_var, error, message):
+        head = AagmmHead(np.zeros((2, 3)), np.full((2, 3), log_var))
         gate = OutlierGate()
-        with pytest.raises(NonFiniteError, match="aagmm head variances are not finite"):
+        with pytest.raises(error, match=message):
             scores(head, np.ones((4, 3)))
-        with pytest.raises(NonFiniteError, match="aagmm head variances"):
+        with pytest.raises(error, match=message):
             fit_threshold(gate, np.ones((4, 3)), head)
         gate.tau = 1.0
-        with pytest.raises(NonFiniteError, match="aagmm head variances"):
+        with pytest.raises(error, match=message):
             mask(gate, head, np.ones((4, 3)))
 
 

@@ -314,11 +314,18 @@ class TestFusedNll:
 
 
 class TestTape:
-    @pytest.mark.parametrize("overrides, records", [("", 40), ("mom.orders = 4\n", 40)])
+    @pytest.mark.parametrize("overrides, records", [
+        ("", 40),
+        ("mom.orders = 4\n", 40),
+        ("head.kind = kmeans\n", 37),
+        ("head.kind = kmeans\nmom.mode = global\n", 35),
+    ])
     def test_records_per_step_are_pinned(self, monkeypatch, overrides, records):
         # One record per op or fused primitive and one leaf per parameter: a
         # refactor that adds or drops a record changes these counts, which are
-        # also the benchmark's tape_records counter.
+        # also the benchmark's tape_records counter. KMeans has no log-variance
+        # leaf, and in per-cluster-soft mode its residuals take one multiply by
+        # the constant unit scales exp(-0.5 * 0).
         counts = []
 
         def counting_backward(loss):
