@@ -157,8 +157,7 @@ def _cmd_export_embeddings(args) -> int:
 
 
 def _sweep_worker(task):
-    text, out_root = task
-    config, data_spec, flat = parse_config_text(text, source="<sweep>")
+    config, data_spec, flat, out_root = task
     out_dir = _run_dir(Path(out_root), flat)
     try:
         report, _, manifest = run(config, data_spec, out_dir=out_dir)
@@ -185,17 +184,21 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.config) as f:
         base_text = f.read()
-    grids = []
+    grids = {}
     for spec in args.grid:
         key, _, values = spec.partition("=")
+        key = key.strip()
         if not values:
             raise ValueError(f"bad --grid {spec!r}: expected key=v1,v2,...")
-        grids.append([(key.strip(), v.strip()) for v in values.split(",")])
-    combos = list(itertools.product(*grids)) if grids else [()]
-    tasks = []
-    for combo in combos:
-        overlay = "\n".join(f"{k}={v}" for k, v in combo)
-        tasks.append((base_text + "\n" + overlay, str(_out_root(args.out_root))))
+        if key in grids:
+            raise ValueError(f"bad --grid {spec!r}: {key} is already on the grid")
+        grids[key] = [(key, v.strip()) for v in values.split(",")]
+    combos = list(itertools.product(*grids.values()))
+    # Every combo is parsed before any run starts: a bad grid value ends
+    # the sweep with one error line and no run directory.
+    out_root = str(_out_root(args.out_root))
+    tasks = [(*parse_config_text(base_text, str(args.config), combo), out_root)
+             for combo in combos]
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         with Pool(min(jobs, len(tasks)), initializer=_worker_signals) as pool:

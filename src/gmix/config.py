@@ -2,10 +2,11 @@
 
 One namespaced key per field ('#' starts a comment, blank lines are
 skipped); unknown keys, bad types and duplicate keys are rejected with the
-offending line number, and constraint violations with the file name.
-Absent keys take their defaults, and the fully resolved configuration is
-echoed into the run manifest, whose flat form is hashed to name output
-directories.
+offending line number, and constraint violations with the file name. A
+sweep's grid values replace the file's, and their errors name the
+``--grid`` key instead. Absent keys take their defaults, and the fully
+resolved configuration is echoed into the run manifest, whose flat form is
+hashed to name output directories.
 """
 
 from __future__ import annotations
@@ -138,8 +139,13 @@ def _rebuild(default, fields: dict, path: str):
         raise ConfigError(_KEY_OF_PATH.get(f"{path}.{name}", name) + sep + rest) from None
 
 
-def parse_config_text(text: str, source: str = "<config>"):
-    """Parse config text into ``(RunConfig, SyntheticSpec, effective_dict)``."""
+def parse_config_text(text: str, source: str = "<config>", overrides=()):
+    """Parse config text into ``(RunConfig, SyntheticSpec, effective_dict)``.
+
+    ``overrides`` are ``(key, value_text)`` pairs, a sweep's grid values,
+    parsed after the text and replacing its values. Their errors name
+    ``--grid KEY``.
+    """
     values: dict[str, object] = {}
     seen_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -164,6 +170,13 @@ def parse_config_text(text: str, source: str = "<config>"):
             raise ConfigError(
                 f"{source}:{lineno}: bad value for {key}: {e}"
             ) from None
+    for key, value_text in overrides:
+        if key not in SCHEMA:
+            raise ConfigError(f"--grid {key}: unknown key {key!r}")
+        try:
+            values[key] = SCHEMA[key].parse(value_text)
+        except ValueError as e:
+            raise ConfigError(f"--grid {key}: bad value for {key}: {e}") from None
 
     # Group the set values by field path. Walking the table (not the text)
     # fixes the order the dataclasses are validated in, and so which error
@@ -180,7 +193,9 @@ def parse_config_text(text: str, source: str = "<config>"):
         run_config = _rebuild(RunConfig(), fields["run"], "run")
         data_spec = _rebuild(SyntheticSpec(), fields["data"], "data")
     except ConfigError as e:
-        raise ConfigError(f"{source}: {e}") from None
+        key = str(e).split(" ", 1)[0]
+        where = f"--grid {key}" if key in dict(overrides) else source
+        raise ConfigError(f"{where}: {e}") from None
     return run_config, data_spec, flatten_config(run_config, data_spec)
 
 

@@ -121,12 +121,11 @@ def _moment_rows(rng, quick: bool = False) -> list[CheckRow]:
         for order in orders:
             for mode in ("global", "per-cluster-soft"):
                 spec = MomentSpec(max_order=order, mode=mode)
-                head_arg = head if mode == "per-cluster-soft" else None
                 params = [z] if mode == "global" else [z, head.centers, head.log_var]
 
-                def fn(z=z, spec=spec, head_arg=head_arg):
+                def fn(z=z, spec=spec, head=head):
                     tape = Tape()
-                    return mom_loss(z.use(tape), spec, head=head_arg)[0]
+                    return mom_loss(z.use(tape), spec, head=head)[0]
 
                 rows.append(
                     CheckRow(

@@ -39,7 +39,6 @@ from .autodiff import (
     exp,
     reshape,
     row_blocks,
-    tmean,
     tsum,
 )
 
@@ -133,26 +132,28 @@ class CentralizedBatch:
     """Sub-populations prepared for moment estimation.
 
     ``populations`` has shape (n, G, dim): G is 1 in global mode, K in
-    per-cluster mode. ``weights`` (n, G) are per-sample responsibilities
-    (None means unit weights). ``mean_offset`` is the batch mean removed
+    per-cluster mode. ``weights`` (n, G) are per-sample weights: the
+    sample mask in global mode, the masked responsibilities in
+    per-cluster mode. ``mean_offset`` is the batch mean removed
     in global mode; the first-order loss measures this offset against
     the target mean of zero, since the centered data's own first moment
     vanishes identically.
     """
 
     populations: Tensor
-    weights: Tensor | None
+    weights: Tensor
     mean_offset: Tensor | None
 
 
 def centralize(z, mode: str, head=None, sample_mask=None) -> CentralizedBatch:
     """Center samples for moment estimation.
 
-    global: subtract the (masked) batch mean, unit weights. In
+    global: subtract the masked batch mean; the mask is the weights. In
     per-cluster-soft mode each cluster k yields the standardized
     residuals (z - mu_k) / sigma_k weighted by the sample's conditional
     responsibility for k; gradients flow through the responsibilities.
-    ``sample_mask`` zeroes out the weight of excluded samples.
+    ``sample_mask`` zeroes out the weight of excluded samples; None keeps
+    every sample. ``head`` is read only in per-cluster-soft mode.
     """
     from .heads import conditional  # head types live one module up
 
@@ -162,27 +163,19 @@ def centralize(z, mode: str, head=None, sample_mask=None) -> CentralizedBatch:
     n, dim = z.shape
     if n == 0:
         raise ValueError("cannot centralize an empty sample")
-    mask = None
-    if sample_mask is not None:
-        mask = np.asarray(sample_mask, dtype=np.float64).reshape(n)
-        if not mask.any():
-            raise ValueError("sample_mask excludes every sample")
+    mask = np.ones(n) if sample_mask is None else np.asarray(sample_mask, np.float64).reshape(n)
+    if not mask.any():
+        raise ValueError("sample_mask excludes every sample")
+    weights = Tensor(mask[:, None])
     if mode == "global":
-        if mask is None:
-            mean = tmean(z, axis=0)
-        else:
-            mean = tsum(z * Tensor(mask[:, None]), axis=0) / float(mask.sum())
-        zc = z - mean
-        pops = reshape(zc, (n, 1, dim))
-        weights = None if mask is None else Tensor(mask[:, None])
+        mean = tsum(z * weights, axis=0) / float(mask.sum())
+        pops = reshape(z - mean, (n, 1, dim))
         return CentralizedBatch(pops, weights, mean)
     if mode == "per-cluster-soft":
         if head is None or not getattr(head, "generative", False):
             raise ValueError("per-cluster-soft centralization requires a mixture head")
         tape = z.tape
-        resp = conditional(head, z, tape)
-        if mask is not None:
-            resp = resp * Tensor(mask[:, None])
+        resp = conditional(head, z, tape) * weights
         mu = head.centers.use(tape)
         inv_sigma = exp(-0.5 * head.log_variances(tape))
         pops = (reshape(z, (n, 1, dim)) - mu) * inv_sigma
@@ -283,15 +276,11 @@ def _product_chain(x: np.ndarray, max_order: int) -> list[np.ndarray]:
     return levels
 
 
-def _estimate(x: np.ndarray, w: np.ndarray, order: int,
-              chain: list[np.ndarray] | None = None) -> _Estimate:
-    """Per-multiset moments of (n, G, dim) samples under (n, G) weights.
+def _estimate(w: np.ndarray, order: int, chain: list[np.ndarray]) -> _Estimate:
+    """Per-multiset moments of (n, G, dim) samples x under (n, G) weights.
 
-    ``chain`` is ``_product_chain(x, q)`` for some q >= order; without it
-    the products are built here.
+    ``chain`` is ``_product_chain(x, q)`` for some q >= order.
     """
-    if chain is None:
-        chain = _product_chain(x, order)
     lower, prod = chain[order - 1], chain[order]
     mass = w.sum(axis=0)
     active = mass >= _MIN_CLUSTER_MASS
@@ -302,17 +291,17 @@ def _estimate(x: np.ndarray, w: np.ndarray, order: int,
     return _Estimate(lower, prod, moments, safe_mass, active)
 
 
-def _discrepancy(x: np.ndarray, w: np.ndarray | None, order: int,
-                 chain: list[np.ndarray] | None = None):
+def _discrepancy(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarray]):
     """Forward and reverse pass of one order: ``(per_group, active, vjp_x, vjp_w)``.
 
-    ``x`` (n, G, dim) are the centered samples and ``w`` (n, G) their
-    responsibilities (None means unit weights). The moment of each index
-    multiset is the weighted mean of its product; the discrepancy sums
-    coef * (moment - target)**2 over the multisets. ``per_group`` is the
-    (G,) discrepancy with starved populations masked to zero, ``active``
-    the mask of the survivors the caller averages over, and ``vjp_x`` and
-    ``vjp_w`` map the gradient of ``per_group`` to those of ``x`` and ``w``.
+    ``x`` (n, G, dim) are the centered samples, ``w`` (n, G) their
+    weights and ``chain`` their ``_product_chain(x, q)`` for some
+    q >= order. The moment of each index multiset is the weighted mean of
+    its product; the discrepancy sums coef * (moment - target)**2 over the
+    multisets. ``per_group`` is the (G,) discrepancy with starved
+    populations masked to zero, ``active`` the mask of the survivors the
+    caller averages over, and ``vjp_x`` and ``vjp_w`` map the gradient of
+    ``per_group`` to those of ``x`` and ``w``.
 
     The reverse pass is hand-derived. With s the gradient of the weighted
     sums, axis d of sample i receives w_i * sum over the order-(p-1)
@@ -326,9 +315,8 @@ def _discrepancy(x: np.ndarray, w: np.ndarray | None, order: int,
     """
     n, groups, dim = x.shape
     table = multisets(order, dim)
-    w = np.ones((n, groups)) if w is None else w
     with np.errstate(all="ignore"):
-        est = _estimate(x, w, order, chain)
+        est = _estimate(w, order, chain)
         diff = est.moments - table.target
         per_group = (diff * diff * table.coef).sum(axis=1)
     _check_finite(per_group, f"mom_p{order}")
@@ -392,13 +380,14 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
             if on_offset:
                 # The centered data's first moment is identically zero; the
                 # meaningful first-order statistic is the removed mean itself.
+                x = offset.data.reshape(1, 1, -1)
                 per_group, active, vjp_x, vjp_w = _discrepancy(
-                    offset.data.reshape(1, 1, -1), None, order)
+                    x, np.ones((1, 1)), order, _product_chain(x, 1))
             else:
                 if chain is None:
                     chain = _product_chain(pops.data, spec.max_order)
                 per_group, active, vjp_x, vjp_w = _discrepancy(
-                    pops.data, None if weights is None else weights.data, order, chain)
+                    pops.data, weights.data, order, chain)
             count = float(active.sum())
             summed = per_group.sum()
             _check_finite(summed, "sum")
@@ -428,9 +417,7 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
 
     routes = []
     if steps:
-        routes.append((pops, summed_vjp(False)))
-        if weights is not None:
-            routes.append((weights, summed_vjp(True)))
+        routes += [(pops, summed_vjp(False)), (weights, summed_vjp(True))]
     if offset_step is not None:
         lam, count, vjp_x, _ = offset_step
         routes.append((offset, lambda g: vjp_x((g * lam) / count).reshape(offset.shape)))

@@ -34,8 +34,9 @@ class OutlierGate:
     """Percentile-thresholded score gate with a cached threshold.
 
     It holds only what scoring reads: ``percentile``, ``mode`` and the
-    fitted ``tau``. An unfitted gate rejects nothing; callers can check
-    ``fitted`` before masking.
+    fitted ``tau``. :func:`mask` raises ``ValueError`` on an unfitted
+    gate, so callers check ``fitted`` first: ``train_step`` keeps every
+    sample until the first refit.
     """
 
     percentile: float = 90.0

@@ -312,9 +312,8 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
                 if config.mom_view == "strong" and zs is None:
                     zs = state.backbone.embed(Tensor(unlabeled.strong), tape)
                 src = zw if config.mom_view == "weak" else zs
-                head_arg = state.head if config.moments.mode == "per-cluster-soft" else None
                 mom_total, per_order = mom_loss(
-                    src, config.moments, head=head_arg, sample_mask=mom_mask
+                    src, config.moments, head=state.head, sample_mask=mom_mask
                 )
                 stats.loss_mom_total = mom_total.item()
                 for p, t in per_order.items():

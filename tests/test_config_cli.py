@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import gmix
-from gmix import cli, moments
+from gmix import cli, moments, outlier
+from gmix.autodiff import Tensor
 from gmix.cli import main
 from gmix.config import SCHEMA, ConfigError, _lookup, config_hash, parse_config_text
 from gmix.datasets import SyntheticSpec, generate
@@ -274,6 +275,40 @@ class TestCli:
         assert np.count_nonzero(dataset.unlabeled_outlier) == 30
         np.testing.assert_array_equal(labels == -1, dataset.unlabeled_outlier)
 
+    @pytest.mark.parametrize("extra", [
+        "gate.mode = min\n",
+        "head.kind = linear\nmom.mode = global\n",
+    ], ids=["aagmm", "linear"])
+    def test_export_embeddings_score_column(self, tmp_path, extra):
+        # A mixture head exports the gate's Mahalanobis score; the linear
+        # head, which has no clusters, its maximum class probability.
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN + extra)
+        out_root = tmp_path / "runs"
+        assert main(["train", str(config_path), "--out-root", str(out_root)]) == 0
+        ckpt = next(out_root.iterdir()) / "checkpoint.bin"
+        tsv = tmp_path / "emb.tsv"
+        assert main([
+            "export-embeddings", str(config_path), "--checkpoint", str(ckpt), "--out", str(tsv),
+        ]) == 0
+        rows = [line.split("\t") for line in tsv.read_text().splitlines()[1:]]
+        config, data_spec, _ = parse_config_text(config_path.read_text())
+        _, state = cli._load_state_for(config, data_spec, ckpt)
+        z = state.backbone.embed(Tensor(generate(data_spec).test_x)).data
+        np.testing.assert_array_equal([row[:4] for row in rows],
+                                      [[f"{v:.10g}" for v in r] for r in z])
+        column = [row[6] for row in rows]
+        if state.head.generative:
+            expected = outlier.scores(state.head, z, config.gate.mode)
+            assert column == [f"{s:.10g}" for s in expected]
+        else:
+            logits = z @ state.head.weight.value + state.head.bias.value
+            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+            expected = (probs / probs.sum(axis=1, keepdims=True)).max(axis=1)
+            assert np.all(expected >= 1.0 / data_spec.n_classes)
+            np.testing.assert_allclose(np.array(column, dtype=float), expected,
+                                       rtol=1e-9, atol=0)
+
     def test_eval_reports_the_manifest_accuracy_with_ema(self, tmp_path, capsys):
         config_path = tmp_path / "ema.cfg"
         config_path.write_text(TINY_RUN + "ssl.ema_decay = 0.9\n")
@@ -417,6 +452,52 @@ class TestCli:
         assert len(list(out_root.iterdir())) == 2
         out = capsys.readouterr().out
         assert "run.seed=0" in out and "run.seed=1" in out
+
+    def test_sweep_grid_value_replaces_the_files(self, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)  # sets run.steps = 20
+        out_root = tmp_path / "sweep"
+        code = main([
+            "sweep", str(config_path), "--grid", "run.steps=10,20",
+            "--jobs", "1", "--out-root", str(out_root),
+        ])
+        assert code == 0
+        run_dirs = list(out_root.iterdir())
+        assert len(run_dirs) == 2
+        steps = sorted(json.loads((d / "manifest.json").read_text())["config"]["run.steps"]
+                       for d in run_dirs)
+        assert steps == ["10", "20"]
+
+    @pytest.mark.parametrize("grid, message", [
+        (["run.steps=10,x"], "config error: --grid run.steps: bad value for run.steps: "),
+        (["run.steps=10,-1"], "config error: --grid run.steps: run.steps must be nonnegative"),
+        (["run.nope=1"], "config error: --grid run.nope: unknown key 'run.nope'"),
+        (["run.seed=0", "run.seed=1"],
+         "error: bad --grid 'run.seed=1': run.seed is already on the grid"),
+    ], ids=["bad-value", "constraint", "unknown-key", "repeated-key"])
+    def test_sweep_rejects_a_bad_grid_before_any_run(self, tmp_path, capsys, grid, message):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)
+        out_root = tmp_path / "sweep"
+        args = [a for g in grid for a in ("--grid", g)]
+        code = main(["sweep", str(config_path), *args, "--jobs", "1", "--out-root", str(out_root)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out_root.exists()
+
+    def test_sweep_config_error_names_the_file_line(self, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN + "run.steps = 30\n")
+        out_root = tmp_path / "sweep"
+        code = main([
+            "sweep", str(config_path), "--grid", "run.seed=0,1", "--out-root", str(out_root),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: {config_path}:13: duplicate key 'run.steps' (first set on line 3)\n"
+        )
+        assert not out_root.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, jobs):

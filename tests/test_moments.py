@@ -24,7 +24,6 @@ from gmix.autodiff import (
     finite_diff_check,
     powi,
     reshape,
-    tmean,
     tsum,
 )
 from gmix.heads import init_head
@@ -33,6 +32,7 @@ from gmix.moments import (
     MomentSpec,
     _discrepancy,
     _estimate,
+    _product_chain,
     centralize,
     class_size,
     double_factorial,
@@ -84,8 +84,9 @@ def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
     ``(per_group, active)`` of ``moments._discrepancy``, with ``per_group``
     a tensor whose reverse pass is that function's.
     """
-    w = None if weights is None else weights.data
-    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order)
+    w = np.ones(pops.shape[:2]) if weights is None else weights.data
+    chain = _product_chain(pops.data, order)
+    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order, chain)
     routes = [(pops, vjp_x)]
     if weights is not None:
         routes.append((weights, vjp_w))
@@ -274,7 +275,7 @@ def chain(zc, order, weights=None):
     zc = np.asarray(zc)
     n, dim = zc.shape
     w = np.ones((n, 1)) if weights is None else np.asarray(weights)[:, None]
-    moments = _estimate(zc[:, None, :], w, order).moments[0]
+    moments = _estimate(w, order, _product_chain(zc[:, None, :], order)).moments[0]
     position = multiset_positions(order, dim)
     dense = np.empty((dim,) * order)
     for t in itertools.product(range(dim), repeat=order):
@@ -295,8 +296,6 @@ def dense_population_moments(pops, weights, order):
         left = reshape(prod, (n, groups) + (dim,) * p + (1,))
         right = reshape(pops, (n, groups) + (1,) * p + (dim,))
         prod = left * right
-    if weights is None:
-        return tmean(prod, axis=0), np.ones(groups, dtype=bool)
     mass = tsum(weights, axis=0)
     active = mass.data >= _MIN_CLUSTER_MASS
     w_col = reshape(weights, (n, groups) + (1,) * order)
@@ -571,6 +570,24 @@ class TestMomLoss:
         masked, _ = mom_loss(z, spec, head=head, sample_mask=mask)
         subset, _ = mom_loss(z[:7], spec, head=head)
         assert masked.item() == pytest.approx(subset.item(), abs=1e-12)
+
+    @pytest.mark.parametrize("mode, kind", [("global", None), ("per-cluster-soft", "aagmm")])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_no_mask_is_an_all_ones_mask_bit_for_bit(self, order, mode, kind, rng):
+        # One input path: a missing mask is the all-ones mask, so the
+        # total, the terms and the gradients of z, the centers and the
+        # log-variances agree in every bit.
+        z = rng.normal(size=(37, 4)) * 1.3 + 0.2
+        head = init_head(kind, 3, 4, seed=6) if kind else None
+        spec = MomentSpec(max_order=order, mode=mode)
+        bare = loss_and_grads(mom_loss, z, spec, head)
+        ones = loss_and_grads(mom_loss, z, spec, head, np.ones(37, dtype=bool))
+        assert list(bare[1]) == list(ones[1]) == list(range(1, order + 1))
+        assert (np.array([bare[0], *bare[1].values()]).tobytes()
+                == np.array([ones[0], *ones[1].values()]).tobytes())
+        assert len(bare[2]) == len(ones[2]) == (1 if head is None else 3)
+        for g, ref in zip(bare[2], ones[2]):
+            assert g.tobytes() == ref.tobytes()
 
     def test_all_masked_faults(self):
         spec = MomentSpec(max_order=1, mode="global")
