@@ -199,6 +199,14 @@ def _cmd_sweep(args) -> int:
     out_root = str(_out_root(args.out_root))
     tasks = [(*parse_config_text(base_text, str(args.config), combo), out_root)
              for combo in combos]
+    # Two combos with one effective config would train into one run directory.
+    labels = [" ".join(f"{k}={v}" for k, v in combo) or "(base)" for combo in combos]
+    first = {}
+    for label, (_, _, flat, _) in zip(labels, tasks):
+        run_dir = _run_dir(Path(out_root), flat)
+        if run_dir in first:
+            raise ValueError(f"--grid combos {first[run_dir]!r} and {label!r} give one config")
+        first[run_dir] = label
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
         with Pool(min(jobs, len(tasks)), initializer=_worker_signals) as pool:
@@ -206,8 +214,7 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_sweep_worker(t) for t in tasks]
     failed = 0
-    for combo, res in zip(combos, results):
-        label = " ".join(f"{k}={v}" for k, v in combo) or "(base)"
+    for label, res in zip(labels, results):
         if "error" in res:
             failed += 1
             print(f"{label}: FAILED {res['error']}")

@@ -13,7 +13,14 @@ The tensors are symmetric under any permutation of their indices, so the
 loss is evaluated over the C(D+p-1, p) sorted index multisets instead of
 the D^p entries (330 instead of 4096 at D=8, p=4), with each multiset's
 multiplicity folded into its weight: the same sum in a different order.
-Each order's discrepancy has a hand-derived reverse pass
+The per-multiset products are built once per loss, one level per order
+below the highest (:func:`_product_chain`); order p reads its moments off
+level p-1 with one batched matmul against the weighted samples, so the
+products of the highest order are never formed. That rounds otherwise
+than summing those products: the loss and its gradients differ from the
+sum in their last bits. Every ``metrics.csv`` that ``perfbench/golden.json``
+pins is the same under both; the weights in ``checkpoint.bin`` differ in
+their last bits. Each order's discrepancy has a hand-derived reverse pass
 (:func:`_discrepancy`). :func:`mom_loss` records the whole loss over all
 orders as one tape record past the centering: it repeats the op-by-op
 chain of per-order records, sums, divisions, weights and adds, forward and
@@ -38,7 +45,6 @@ from .autodiff import (
     _result,
     exp,
     reshape,
-    row_blocks,
     tsum,
 )
 
@@ -203,6 +209,8 @@ class Multisets:
     its multisets carry every distinct entry. ``coef`` is each multiset's
     multiplicity order!/prod(count!) times its class weight, so a sum over
     the multisets equals the weighted sum over all dim**order entries.
+    Each multiset u is the (order-1)-multiset ``pair_lower[u]`` extended by
+    its largest axis ``pair_axis[u]``: the pair the product chain extends.
     For each (order-1)-multiset v and axis d, ``grad_index[v, d]`` is the
     multiset v + {d} and ``grad_count[v, d]`` the number of times d occurs
     in it: the derivative of that multiset's product with respect to axis
@@ -211,6 +219,8 @@ class Multisets:
 
     coef: np.ndarray
     target: np.ndarray
+    pair_lower: np.ndarray
+    pair_axis: np.ndarray
     grad_index: np.ndarray
     grad_count: np.ndarray
 
@@ -221,6 +231,7 @@ def multisets(order: int, dim: int) -> Multisets:
     tuples = multiset_tuples(order, dim)
     position = {t: u for u, t in enumerate(tuples)}
     below = multiset_tuples(order - 1, dim)
+    below_position = {v: i for i, v in enumerate(below)}
     sizes = {h: class_size(order, dim, h) for h in range(order)}
     coef = []
     for t in tuples:
@@ -230,6 +241,8 @@ def multisets(order: int, dim: int) -> Multisets:
     table = Multisets(
         coef=np.array(coef),
         target=np.array([target_moment(t) for t in tuples]),
+        pair_lower=np.array([below_position[t[:-1]] for t in tuples], dtype=np.intp),
+        pair_axis=np.array([t[-1] for t in tuples], dtype=np.intp),
         grad_index=np.array(
             [[position[tuple(sorted(v + (d,)))] for d in range(dim)] for v in below],
             dtype=np.intp,
@@ -245,8 +258,7 @@ class _Estimate(NamedTuple):
     """Forward intermediates of :func:`_discrepancy`."""
 
     lower: np.ndarray      # (n, G, V) products of the order-(p-1) multisets
-    prod: np.ndarray       # (n, G, U) products of the order-p multisets
-    moments: np.ndarray    # (G, U) weighted means of ``prod``
+    moments: np.ndarray    # (G, U) weighted means of the order-p products
     safe_mass: np.ndarray  # (G,) weight mass, 1 added for starved groups
     active: np.ndarray     # (G,) groups with enough mass to estimate
 
@@ -258,7 +270,8 @@ def _product_chain(x: np.ndarray, max_order: int) -> list[np.ndarray]:
     order. It is built from level k-1: the multisets of order k whose
     largest index is d are the first C(d+k-1, k-1) multisets of order k-1,
     each extended by axis d. Each product is thus formed left to right in
-    index order, as the dense outer-product chain formed it.
+    index order. The order-p moments read level p-1 (:func:`_estimate`),
+    so a loss up to order P builds levels 0..P-1 and never the largest.
     """
     n, groups, dim = x.shape
     levels = [np.ones((n, groups, 1))]  # the empty multiset
@@ -276,19 +289,25 @@ def _product_chain(x: np.ndarray, max_order: int) -> list[np.ndarray]:
     return levels
 
 
-def _estimate(w: np.ndarray, order: int, chain: list[np.ndarray]) -> _Estimate:
+def _estimate(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarray]) -> _Estimate:
     """Per-multiset moments of (n, G, dim) samples x under (n, G) weights.
 
-    ``chain`` is ``_product_chain(x, q)`` for some q >= order.
+    ``chain`` is ``_product_chain(x, q)`` for some q >= order - 1. One
+    batched matmul of level order-1, laid out (G, V, n), with the weighted
+    samples, laid out (G, n, dim), gives the weighted sum of every
+    (order-1)-multiset times every axis; each multiset reads its own
+    canonical pair (``Multisets.pair_lower``, ``pair_axis``) from it.
     """
-    lower, prod = chain[order - 1], chain[order]
+    table = multisets(order, x.shape[2])
+    lower = chain[order - 1]
     mass = w.sum(axis=0)
     active = mass >= _MIN_CLUSTER_MASS
     if not active.any():
         raise ValueError("all cluster responsibilities are degenerate (~0)")
     safe_mass = np.where(active, mass, mass + 1.0)
-    moments = np.einsum("ngu,ng->gu", prod, w) / safe_mass[:, None]
-    return _Estimate(lower, prod, moments, safe_mass, active)
+    sums = np.matmul(lower.transpose(1, 2, 0), (x * w[:, :, None]).transpose(1, 0, 2))
+    moments = sums[:, table.pair_lower, table.pair_axis] / safe_mass[:, None]
+    return _Estimate(lower, moments, safe_mass, active)
 
 
 def _discrepancy(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarray]):
@@ -296,9 +315,9 @@ def _discrepancy(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarra
 
     ``x`` (n, G, dim) are the centered samples, ``w`` (n, G) their
     weights and ``chain`` their ``_product_chain(x, q)`` for some
-    q >= order. The moment of each index multiset is the weighted mean of
-    its product; the discrepancy sums coef * (moment - target)**2 over the
-    multisets. ``per_group`` is the (G,) discrepancy with starved
+    q >= order - 1. The moment of each index multiset is the weighted mean
+    of its product; the discrepancy sums coef * (moment - target)**2 over
+    the multisets. ``per_group`` is the (G,) discrepancy with starved
     populations masked to zero, ``active`` the mask of the survivors the
     caller averages over, and ``vjp_x`` and ``vjp_w`` map the gradient of
     ``per_group`` to those of ``x`` and ``w``.
@@ -307,16 +326,20 @@ def _discrepancy(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarra
     sums, axis d of sample i receives w_i * sum over the order-(p-1)
     multisets v of prod_v(i) * count * s[v + {d}]: a batch of
     (n, V) @ (V, dim) matmuls, one per population. The weights receive the
-    gradient of both the weighted sums and the mass.
+    gradient of both the weighted sums and the mass; that of the sums is
+    s scattered to each multiset's canonical pair, one more batch of
+    matmuls with the order-(p-1) products, times x and summed over the axes.
 
-    The sums over samples and over multisets keep the summation order of
-    the dense outer-product chain this replaced, so order 1 (the default
-    config) gives bit-identical results; orders 2..4 differ in the last bits.
+    Neither pass forms the order-p products. A masked-out row (weight 0)
+    whose order-p products overflow thus adds nothing to the loss. If its
+    weight gradient overflows too, the reverse pass faults (``mom_p{p}``):
+    the mask would turn that gradient into NaN. The matmuls round
+    otherwise than a sum of the products would, in the last bits.
     """
-    n, groups, dim = x.shape
+    _, groups, dim = x.shape
     table = multisets(order, dim)
     with np.errstate(all="ignore"):
-        est = _estimate(w, order, chain)
+        est = _estimate(x, w, order, chain)
         diff = est.moments - table.target
         per_group = (diff * diff * table.coef).sum(axis=1)
     _check_finite(per_group, f"mom_p{order}")
@@ -333,15 +356,13 @@ def _discrepancy(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarra
 
     def vjp_w(g):
         dm = d_moments(g)
-        d_sums = dm / est.safe_mass[:, None]
         d_mass = (-dm * est.moments / est.safe_mass[:, None]).sum(axis=1)
-        # Row blocks keep the product temporary small. One (n, G, U)
-        # temporary at the peak of the step made the allocator hand the
-        # step's memory back to the OS at its end and fault it in again on
-        # the next step: about 1,000 minor page faults per mom4 step.
-        d_weights = np.empty((n, groups))
-        for lo, hi in row_blocks(n, est.prod[0].size):
-            d_weights[lo:hi] = (est.prod[lo:hi] * d_sums).sum(axis=2)
+        per_pair = np.zeros((groups, est.lower.shape[2], dim))
+        per_pair[:, table.pair_lower, table.pair_axis] = dm / est.safe_mass[:, None]
+        per_axis = np.matmul(est.lower.transpose(1, 0, 2), per_pair)  # (G, n, dim)
+        with np.errstate(all="ignore"):
+            d_weights = (per_axis * x.transpose(1, 0, 2)).sum(axis=2).T
+        _check_finite(d_weights, f"mom_p{order}")
         return d_weights + d_mass
 
     return per_group * mask, est.active, vjp_x, vjp_w
@@ -382,10 +403,10 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
                 # meaningful first-order statistic is the removed mean itself.
                 x = offset.data.reshape(1, 1, -1)
                 per_group, active, vjp_x, vjp_w = _discrepancy(
-                    x, np.ones((1, 1)), order, _product_chain(x, 1))
+                    x, np.ones((1, 1)), order, _product_chain(x, 0))
             else:
                 if chain is None:
-                    chain = _product_chain(pops.data, spec.max_order)
+                    chain = _product_chain(pops.data, spec.max_order - 1)
                 per_group, active, vjp_x, vjp_w = _discrepancy(
                     pops.data, weights.data, order, chain)
             count = float(active.sum())

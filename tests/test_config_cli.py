@@ -486,6 +486,23 @@ class TestCli:
         assert err.startswith(message) and err.count("\n") == 1
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("values", ["10,10", "10,010"])
+    def test_sweep_rejects_combos_with_one_config(self, tmp_path, capsys, values):
+        # Both combos would train into the same run directory.
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)
+        out_root = tmp_path / "sweep"
+        second = values.split(",")[1]
+        code = main([
+            "sweep", str(config_path), "--grid", f"run.steps={values}",
+            "--jobs", "2", "--out-root", str(out_root),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid combos 'run.steps=10' and 'run.steps={second}' give one config\n"
+        )
+        assert not out_root.exists()
+
     def test_sweep_config_error_names_the_file_line(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(TINY_RUN + "run.steps = 30\n")

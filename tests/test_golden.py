@@ -1,5 +1,6 @@
-"""The benchmark's golden outputs, held in tier-1: seed 0 of each training
-workload writes the metrics.csv whose sha256 perfbench/golden.json pins.
+"""The benchmark's golden outputs, held in tier-1: every seed of each training
+workload pinned in perfbench/golden.json writes the metrics.csv whose sha256
+it pins.
 
 The config text and step counts come from the benchmark's own workload
 table, so this test and the benchmark cannot drift apart. The pins hold
@@ -26,14 +27,18 @@ MACHINE = {
 }
 
 
-@pytest.mark.parametrize("workload", ["ssl-default", "mom4"])
-def test_seed_0_metrics_csv_matches_the_pin(load_bench, tmp_path, workload):
+@pytest.mark.parametrize("workload, seed", [
+    (workload, seed)
+    for workload, pins in GOLDEN["metrics_csv_sha256"].items()
+    for seed in pins
+])
+def test_metrics_csv_matches_the_pin(load_bench, tmp_path, workload, seed):
     pinned_on = {k: GOLDEN["machine"][k] for k in MACHINE}
     if MACHINE != pinned_on:
         pytest.skip(f"the pins were made on {pinned_on}; this machine is {MACHINE}")
     load_bench("tracer")  # the workloads module imports it by this name
-    training = load_bench("workloads").Training(workload, 0, tmp_path)
+    training = load_bench("workloads").Training(workload, int(seed), tmp_path)
     config, spec, _ = parse_config_text(training.text, source=f"<{workload}>")
     run(config, spec, out_dir=tmp_path / "run")
     digest = hashlib.sha256((tmp_path / "run" / "metrics.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN["metrics_csv_sha256"][workload]["0"]
+    assert digest == GOLDEN["metrics_csv_sha256"][workload][seed]

@@ -85,7 +85,7 @@ def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
     a tensor whose reverse pass is that function's.
     """
     w = np.ones(pops.shape[:2]) if weights is None else weights.data
-    chain = _product_chain(pops.data, order)
+    chain = _product_chain(pops.data, order - 1)
     data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order, chain)
     routes = [(pops, vjp_x)]
     if weights is not None:
@@ -275,7 +275,8 @@ def chain(zc, order, weights=None):
     zc = np.asarray(zc)
     n, dim = zc.shape
     w = np.ones((n, 1)) if weights is None else np.asarray(weights)[:, None]
-    moments = _estimate(w, order, _product_chain(zc[:, None, :], order)).moments[0]
+    x = zc[:, None, :]
+    moments = _estimate(x, w, order, _product_chain(x, order - 1)).moments[0]
     position = multiset_positions(order, dim)
     dense = np.empty((dim,) * order)
     for t in itertools.product(range(dim), repeat=order):
@@ -620,7 +621,6 @@ class TestMultisetPrimitive:
     ])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matches_dense_reference(self, order, mode, kind, masked, rng):
-        # 40 rows of 3 x 330 products span two of the weights' row blocks at order 4.
         dim = 8
         z = rng.normal(size=(40, dim)) * 1.2 + 0.1
         head = init_head(kind, 3, dim, seed=5) if kind else None
@@ -628,7 +628,21 @@ class TestMultisetPrimitive:
         if masked:
             mask = np.ones(40, dtype=bool)
             mask[[2, 11, 17, 23, 39]] = False
-        spec = MomentSpec(max_order=order, mode=mode)
+        self.assert_matches_dense_reference(z, MomentSpec(max_order=order, mode=mode), head, mask)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_dense_reference_at_the_mom4_training_shape(self, order, rng):
+        # BLAS picks its kernel by shape: 112 unlabeled rows, 8 clusters, D = 8.
+        dim = 8
+        z = rng.normal(size=(112, dim)) * 1.2 + 0.1
+        head = init_head("aagmm", 8, dim, seed=5)
+        mask = np.ones(112, dtype=bool)
+        mask[::9] = False
+        spec = MomentSpec(max_order=order, mode="per-cluster-soft")
+        self.assert_matches_dense_reference(z, spec, head, mask)
+
+    @staticmethod
+    def assert_matches_dense_reference(z, spec, head, mask):
         loss, terms, grads = loss_and_grads(mom_loss, z, spec, head, mask)
         ref_loss, ref_terms, ref_grads = loss_and_grads(dense_mom_loss, z, spec, head, mask)
         assert_rel_close(loss, ref_loss, 1e-12)
@@ -654,6 +668,45 @@ class TestMultisetPrimitive:
         pops = Tensor(np.full((4, 1, 2), 1e90))
         with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
             moment_discrepancy(pops, None, 4)
+
+    @pytest.mark.parametrize("mode, kind", [
+        ("global", None),
+        ("per-cluster-soft", "aagmm"),
+        ("per-cluster-soft", "kmeans"),
+    ])
+    def test_masked_row_with_overflowing_top_products_does_not_fault(self, mode, kind, rng):
+        # Row 0's order-4 products overflow; its order-3 products do not.
+        # The order-4 moments come from the order-3 products times the
+        # weighted samples, so the masked row adds 0, not inf * 0 = NaN.
+        z = rng.normal(size=(12, 3))
+        z[0] = [3e77, 1.0, -2e77]
+        mask = np.ones(12, dtype=bool)
+        mask[0] = False
+        head = init_head(kind, 2, 3, seed=0) if kind else None
+        spec = MomentSpec(max_order=4, mode=mode)
+        loss, _, grads = loss_and_grads(mom_loss, z, spec, head, mask)
+        assert np.isfinite(loss)
+        assert all(np.isfinite(g).all() for g in grads)
+        assert np.all(grads[0][0] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans"])
+    def test_masked_row_whose_weight_gradient_overflows_faults(self, kind, rng):
+        # Larger still, the masked row's weight gradient (its order-4
+        # products times the sums' gradient) overflows, and the mask would
+        # turn it into NaN: the reverse pass faults instead.
+        z = rng.normal(size=(12, 3))
+        z[0] = [1e78, 1.0, -1e78]
+        mask = np.ones(12, dtype=bool)
+        mask[0] = False
+        spec = MomentSpec(max_order=4, mode="per-cluster-soft")
+        with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
+            loss_and_grads(mom_loss, z, spec, init_head(kind, 2, 3, seed=0), mask)
+
+    def test_unmasked_row_with_overflowing_top_products_faults(self, rng):
+        x = rng.normal(size=(12, 1, 3))
+        x[0, 0] = [3e77, 1.0, -2e77]
+        with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
+            moment_discrepancy(Tensor(x), Tensor(np.ones((12, 1))), 4)
 
     def test_starved_group_gets_no_gradient(self, rng):
         # Group 1's mass is positive but below the estimable minimum: it is

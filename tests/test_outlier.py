@@ -224,7 +224,7 @@ class TestMask:
         keep = mask(gate, head, centers)
         assert keep.all()
 
-    def test_unfitted_gate_rejects_nothing_and_flags_itself(self):
+    def test_unfitted_gate_raises(self):
         gate = OutlierGate()
         assert not gate.fitted
         head = head_with([[0.0]], [[1.0]])
