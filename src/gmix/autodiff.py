@@ -524,6 +524,9 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
     A finite gradient whose sum of squares overflows is measured again,
     divided by its largest entry and scaled back (Anderson 2017, "Safe
     scaling in the Level 1 BLAS"), so it is clipped rather than zeroed.
+    A NaN or infinite entry raises :class:`NonFiniteError` naming its
+    parameter: no scale clips it, and scaling an infinite entry by 0
+    would make it NaN.
     """
     params = list(params)
     total = 0.0
@@ -531,9 +534,11 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
         total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
     if not math.isfinite(total):
+        for p in params:
+            if not _all_finite(p.grad):
+                raise NonFiniteError(f"gradient of {p.name or 'a parameter'} is not finite")
         big = max(float(np.max(np.abs(p.grad), initial=0.0)) for p in params)
-        if math.isfinite(big):
-            norm = big * math.sqrt(sum(float(np.sum(np.square(p.grad / big))) for p in params))
+        norm = big * math.sqrt(sum(float(np.sum(np.square(p.grad / big))) for p in params))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for p in params:

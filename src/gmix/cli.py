@@ -110,7 +110,7 @@ def _cmd_moments_selftest(args) -> int:
     for p in range(1, args.max_order + 1):
         for idx in patterns[p]:
             if max(idx) < dim:
-                name = "".join("iijjkl"[v] for v in idx)
+                name = "".join("ijkl"[v] for v in idx)
                 lines.append(f"{name},{target_moment(idx):.10g}")
     lines.append("")
     lines.append("n,order,loss_mean,loss_sd,loss_max")

@@ -13,19 +13,24 @@ The tensors are symmetric under any permutation of their indices, so the
 loss is evaluated over the C(D+p-1, p) sorted index multisets instead of
 the D^p entries (330 instead of 4096 at D=8, p=4), with each multiset's
 multiplicity folded into its weight: the same sum in a different order.
-The per-multiset products are built once per loss, one level per order
-below the highest (:func:`_product_chain`); order p reads its moments off
-level p-1 with one batched matmul against the weighted samples, so the
-products of the highest order are never formed. That rounds otherwise
-than summing those products: the loss and its gradients differ from the
-sum in their last bits. Every ``metrics.csv`` that ``perfbench/golden.json``
-pins is the same under both; the weights in ``checkpoint.bin`` differ in
-their last bits. Each order's discrepancy has a hand-derived reverse pass
-(:func:`_discrepancy`). :func:`mom_loss` records the whole loss over all
-orders as one tape record past the centering: it repeats the op-by-op
-chain of per-order records, sums, divisions, weights and adds, forward and
-reverse, so it gives the same bits. The dense target and weight tensors,
-and the one-record-per-order discrepancy, live in the tests as the oracle.
+The per-multiset products are built once per loss, in one multiset-major
+buffer of shape (C(D+P-1, P-1), G, n) that holds one level per order
+below the highest P (:func:`_product_chain`; 165 rows at D=8, P=4). Every
+order reads its moments off the level below it: one batched matmul of the
+buffer with the weighted samples gives the weighted sums of all orders at
+once, and one more matmul, against a right-hand side that holds the
+samples' and the weights' routes side by side, gives both gradients of
+all orders (:func:`_discrepancy`). The products of the highest order are
+never formed. The matmuls round otherwise than summing those products,
+and one matmul over all orders otherwise than one per order: the loss and
+its gradients moved in their last bits (about 1e-15 relative at the mom4
+training shape). Every ``metrics.csv`` that ``perfbench/golden.json`` pins
+stayed the same; the weights in ``checkpoint.bin`` differ in their last
+bits when P > 1, and a loss of order 1 alone is unchanged bit for bit.
+:func:`mom_loss` records the whole loss over all orders as one tape
+record past the centering. The dense target and weight tensors, and the
+op-by-op chain of the same discrepancy record followed by per-order sums,
+divisions, weights and adds, live in the tests as the oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -254,118 +259,167 @@ def multisets(order: int, dim: int) -> Multisets:
     return table
 
 
-class _Estimate(NamedTuple):
-    """Forward intermediates of :func:`_discrepancy`."""
+def _level_start(order: int, dim: int) -> int:
+    """Row of the product buffer where the order-``order`` multisets begin.
 
-    lower: np.ndarray      # (n, G, V) products of the order-(p-1) multisets
-    moments: np.ndarray    # (G, U) weighted means of the order-p products
-    safe_mass: np.ndarray  # (G,) weight mass, 1 added for starved groups
-    active: np.ndarray     # (G,) groups with enough mass to estimate
+    The levels below it hold every multiset of fewer than ``order`` axes,
+    C(dim+order-1, order-1) of them (165 below order 4 at dim 8).
+    """
+    return math.comb(dim + order - 1, order - 1) if order > 0 else 0
 
 
-def _product_chain(x: np.ndarray, max_order: int) -> list[np.ndarray]:
-    """Per-multiset products of (n, G, dim) samples, one level per order 0..max_order.
+@dataclass(frozen=True)
+class StackedMultisets:
+    """The :class:`Multisets` of orders first..last, laid end to end.
 
-    Level k has shape (n, G, C(dim+k-1, k)), in :func:`multiset_tuples`
+    Column j of the stacked tables is one multiset of order
+    ``first + order[j]``; each order's columns are ``bounds[i]``. The
+    orders read the product buffer rows ``rows``, levels first-1..last-1.
+    ``pair_row`` and ``pair_axis`` are each multiset's canonical pair, its
+    row numbered within ``rows``. ``grad_index`` and ``grad_count`` have one
+    row per buffer row in ``rows``: that product's multiset extended by
+    each axis, as a stacked column, and the count of the axis in it.
+    """
+
+    rows: slice
+    bounds: tuple[tuple[int, int], ...]
+    order: np.ndarray
+    coef: np.ndarray
+    target: np.ndarray
+    pair_row: np.ndarray
+    pair_axis: np.ndarray
+    grad_index: np.ndarray
+    grad_count: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def stacked_multisets(first: int, last: int, dim: int) -> StackedMultisets:
+    """The read-only tables of orders first..last at one dim, built once."""
+    tables = [multisets(p, dim) for p in range(first, last + 1)]
+    base = _level_start(first - 1, dim)
+    columns = np.cumsum([0] + [t.coef.size for t in tables])
+    stacked = StackedMultisets(
+        rows=slice(base, _level_start(last, dim)),
+        bounds=tuple(zip(columns[:-1].tolist(), columns[1:].tolist())),
+        order=np.repeat(np.arange(len(tables)), [t.coef.size for t in tables]),
+        coef=np.concatenate([t.coef for t in tables]),
+        target=np.concatenate([t.target for t in tables]),
+        pair_row=np.concatenate([
+            _level_start(p - 1, dim) - base + t.pair_lower
+            for p, t in zip(range(first, last + 1), tables)]),
+        pair_axis=np.concatenate([t.pair_axis for t in tables]),
+        grad_index=np.concatenate([c + t.grad_index for c, t in zip(columns, tables)]),
+        grad_count=np.concatenate([t.grad_count for t in tables]),
+    )
+    for arr in vars(stacked).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return stacked
+
+
+def _product_chain(x: np.ndarray, top: int) -> np.ndarray:
+    """Per-multiset products of (n, G, dim) samples, levels 0..top in one buffer.
+
+    The buffer is multiset-major, (C(dim+top, top), G, n): level k starts at
+    row :func:`_level_start`, its multisets in :func:`multiset_tuples`
     order. It is built from level k-1: the multisets of order k whose
     largest index is d are the first C(d+k-1, k-1) multisets of order k-1,
     each extended by axis d. Each product is thus formed left to right in
-    index order. The order-p moments read level p-1 (:func:`_estimate`),
-    so a loss up to order P builds levels 0..P-1 and never the largest.
+    index order, and each multiply runs along all G * n entries of its rows.
     """
     n, groups, dim = x.shape
-    levels = [np.ones((n, groups, 1))]  # the empty multiset
+    buf = np.empty((_level_start(top + 1, dim), groups, n))
+    buf[0] = 1.0  # the empty multiset
+    axes = np.ascontiguousarray(x.transpose(2, 1, 0))  # (dim, G, n)
     with np.errstate(all="ignore"):  # overflow surfaces in the discrepancy's check
-        for k in range(1, max_order + 1):
-            lower = levels[-1]
-            prod = np.empty((n, groups, math.comb(dim + k - 1, k)))
-            start = 0
+        for k in range(1, top + 1):
+            below, start = _level_start(k - 1, dim), _level_start(k, dim)
             for d in range(dim):
                 count = math.comb(d + k - 1, k - 1)
-                np.multiply(lower[:, :, :count], x[:, :, d:d + 1],
-                            out=prod[:, :, start:start + count])
+                np.multiply(buf[below:below + count], axes[d], out=buf[start:start + count])
                 start += count
-            levels.append(prod)
-    return levels
+    return buf
 
 
-def _estimate(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarray]) -> _Estimate:
-    """Per-multiset moments of (n, G, dim) samples x under (n, G) weights.
+class _Discrepancy(NamedTuple):
+    """Forward results of :func:`_discrepancy` and its reverse pass."""
 
-    ``chain`` is ``_product_chain(x, q)`` for some q >= order - 1. One
-    batched matmul of level order-1, laid out (G, V, n), with the weighted
-    samples, laid out (G, n, dim), gives the weighted sum of every
-    (order-1)-multiset times every axis; each multiset reads its own
-    canonical pair (``Multisets.pair_lower``, ``pair_axis``) from it.
+    per_group: np.ndarray  # (orders, G) discrepancies, starved groups 0
+    active: np.ndarray     # (G,) groups with enough mass to estimate
+    moments: np.ndarray    # (G, U) weighted means, in stacked column order
+    vjp: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
+
+
+def _discrepancy(x: np.ndarray, w: np.ndarray, first: int, last: int) -> _Discrepancy:
+    """Moment discrepancies of orders first..last, forward and reverse.
+
+    ``x`` (n, G, dim) are the centered samples and ``w`` (n, G) their
+    weights. The moment of each index multiset is the weighted mean of its
+    product; an order's discrepancy sums coef * (moment - target)**2 over
+    its multisets. ``per_group`` row i is order first+i, with starved
+    populations masked to zero; ``active`` is the mask of the survivors
+    the caller averages over. Each order's row is checked (``mom_p{p}``).
+
+    One batched matmul of the product buffer's levels first-1..last-1,
+    laid out (G, V, n), with the weighted samples, laid out (G, n, dim),
+    gives the weighted sum of every lower multiset times every axis; each
+    multiset reads its canonical pair from it (:class:`StackedMultisets`).
+    The products of order ``last`` are never formed.
+
+    ``vjp(g, weight_grad)`` maps an (orders, G) gradient of ``per_group``
+    to ``(dx, dw)``, ``dw`` None unless ``weight_grad``. With s the
+    gradient of the weighted sums, axis d of sample i receives w_i times
+    the sum over the lower multisets v of prod_v(i) * count * s[v + {d}];
+    the weights receive s at each multiset's canonical pair, times the
+    lower products and x, summed over the axes, plus the gradient of the
+    mass. Both gradients come from one matmul of the buffer with a
+    (G, V, 2 dim) right-hand side: the gathers for x in its first dim
+    columns, s scattered to the canonical pairs in the last. A masked-out
+    row (weight 0) whose order-``last`` products overflow thus adds nothing
+    to the loss; if its weight gradient overflows too, the reverse pass
+    faults (``mom_p{last}``): the mask would turn that gradient into NaN.
     """
-    table = multisets(order, x.shape[2])
-    lower = chain[order - 1]
+    _, groups, dim = x.shape
+    table = stacked_multisets(first, last, dim)
     mass = w.sum(axis=0)
     active = mass >= _MIN_CLUSTER_MASS
     if not active.any():
         raise ValueError("all cluster responsibilities are degenerate (~0)")
     safe_mass = np.where(active, mass, mass + 1.0)
-    sums = np.matmul(lower.transpose(1, 2, 0), (x * w[:, :, None]).transpose(1, 0, 2))
-    moments = sums[:, table.pair_lower, table.pair_axis] / safe_mass[:, None]
-    return _Estimate(lower, moments, safe_mass, active)
-
-
-def _discrepancy(x: np.ndarray, w: np.ndarray, order: int, chain: list[np.ndarray]):
-    """Forward and reverse pass of one order: ``(per_group, active, vjp_x, vjp_w)``.
-
-    ``x`` (n, G, dim) are the centered samples, ``w`` (n, G) their
-    weights and ``chain`` their ``_product_chain(x, q)`` for some
-    q >= order - 1. The moment of each index multiset is the weighted mean
-    of its product; the discrepancy sums coef * (moment - target)**2 over
-    the multisets. ``per_group`` is the (G,) discrepancy with starved
-    populations masked to zero, ``active`` the mask of the survivors the
-    caller averages over, and ``vjp_x`` and ``vjp_w`` map the gradient of
-    ``per_group`` to those of ``x`` and ``w``.
-
-    The reverse pass is hand-derived. With s the gradient of the weighted
-    sums, axis d of sample i receives w_i * sum over the order-(p-1)
-    multisets v of prod_v(i) * count * s[v + {d}]: a batch of
-    (n, V) @ (V, dim) matmuls, one per population. The weights receive the
-    gradient of both the weighted sums and the mass; that of the sums is
-    s scattered to each multiset's canonical pair, one more batch of
-    matmuls with the order-(p-1) products, times x and summed over the axes.
-
-    Neither pass forms the order-p products. A masked-out row (weight 0)
-    whose order-p products overflow thus adds nothing to the loss. If its
-    weight gradient overflows too, the reverse pass faults (``mom_p{p}``):
-    the mask would turn that gradient into NaN. The matmuls round
-    otherwise than a sum of the products would, in the last bits.
-    """
-    _, groups, dim = x.shape
-    table = multisets(order, dim)
+    lower = _product_chain(x, last - 1)[table.rows].transpose(1, 0, 2)  # (G, V, n)
+    per_group = np.empty((last - first + 1, groups))
     with np.errstate(all="ignore"):
-        est = _estimate(x, w, order, chain)
-        diff = est.moments - table.target
-        per_group = (diff * diff * table.coef).sum(axis=1)
-    _check_finite(per_group, f"mom_p{order}")
-    mask = est.active.astype(np.float64)
+        sums = np.matmul(lower, (x * w[:, :, None]).transpose(1, 0, 2))
+        moments = sums[:, table.pair_row, table.pair_axis] / safe_mass[:, None]
+        diff = moments - table.target
+        terms = diff * diff * table.coef
+        for i, (lo, hi) in enumerate(table.bounds):
+            np.sum(terms[:, lo:hi], axis=1, out=per_group[i])
+    for i, row in enumerate(per_group):
+        _check_finite(row, f"mom_p{first + i}")
+    mask = active.astype(np.float64)
 
-    def d_moments(g):
-        return (g * mask)[:, None] * table.coef * (2.0 * diff)
-
-    def vjp_x(g):
-        d_sums = d_moments(g) / est.safe_mass[:, None]
-        per_axis = d_sums[:, table.grad_index] * table.grad_count  # (G, V, dim)
-        dx = np.matmul(est.lower.transpose(1, 0, 2), per_axis).transpose(1, 0, 2)
-        return dx * w[:, :, None]
-
-    def vjp_w(g):
-        dm = d_moments(g)
-        d_mass = (-dm * est.moments / est.safe_mass[:, None]).sum(axis=1)
-        per_pair = np.zeros((groups, est.lower.shape[2], dim))
-        per_pair[:, table.pair_lower, table.pair_axis] = dm / est.safe_mass[:, None]
-        per_axis = np.matmul(est.lower.transpose(1, 0, 2), per_pair)  # (G, n, dim)
+    def vjp(g, weight_grad):
+        # np.take keeps dm C-ordered; an index array on its last axis would
+        # give an F-ordered dm, whose row sums below round otherwise.
+        dm = np.take((g * mask).T, table.order, axis=1) * table.coef * (2.0 * diff)
+        d_sums = dm / safe_mass[:, None]
+        rhs = np.empty((groups, lower.shape[1], 2 * dim if weight_grad else dim))
+        np.multiply(d_sums[:, table.grad_index], table.grad_count, out=rhs[:, :, :dim])
+        if weight_grad:
+            rhs[:, :, dim:] = 0.0
+            rhs[:, table.pair_row, dim + table.pair_axis] = d_sums
         with np.errstate(all="ignore"):
-            d_weights = (per_axis * x.transpose(1, 0, 2)).sum(axis=2).T
-        _check_finite(d_weights, f"mom_p{order}")
-        return d_weights + d_mass
+            per_axis = np.matmul(lower.transpose(0, 2, 1), rhs)  # (G, n, width)
+            dx = per_axis[:, :, :dim].transpose(1, 0, 2) * w[:, :, None]
+            if not weight_grad:
+                return dx, None
+            d_weights = (per_axis[:, :, dim:] * x.transpose(1, 0, 2)).sum(axis=2).T
+        _check_finite(d_weights, f"mom_p{last}")
+        d_mass = (-dm * moments / safe_mass[:, None]).sum(axis=1)
+        return dx, d_weights + d_mass
 
-    return per_group * mask, est.active, vjp_x, vjp_w
+    return _Discrepancy(per_group * mask, active, moments, vjp)
 
 
 def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
@@ -374,43 +428,40 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     Returns ``(total, per_order)`` where ``per_order`` maps each order
     p <= spec.max_order to its weighted scalar term, an untaped value.
 
-    The sum over orders is one tape record past the centralization. Its
-    forward is the op-by-op chain it replaces, order by order, with that
-    chain's finiteness checks: the discrepancy (``mom_p{p}``), its sum
-    over populations, the division by the active count, the product with
-    the order's weight and the running add. Its reverse pass gives each
-    order ``(g * weight) / count``, spread over the populations, through
-    that order's :func:`_discrepancy` reverse pass, and accumulates
-    the results in the order the chain's replay did, from the highest
-    order down. In global mode order 1 measures the removed mean, so its
-    gradient goes to ``mean_offset``.
+    The sum over orders is one tape record past the centralization. One
+    :func:`_discrepancy` gives every order's discrepancy on the
+    populations. In global mode order 1 measures the removed mean, one
+    row with weight 1, through its own :func:`_discrepancy`, and its
+    gradient goes to ``mean_offset``. The forward then takes, order by
+    order, the sum over populations, the division by the active count,
+    the product with the order's weight and the running add, with the
+    op-by-op chain's finiteness checks. The reverse pass gives each order
+    ``(g * weight) / count``, spread over the populations, and passes all
+    orders through one reverse pass shared by the populations and weights.
     """
     if spec.max_order < 1:
         raise ValueError("mom_loss requires max_order >= 1")
     batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
     pops, weights, offset = batch.populations, batch.weights, batch.mean_offset
+    first = 1 if offset is None else 2
+    order_rows = []  # (discrepancy, row) of each order, lowest first
+    if offset is not None:
+        # The centered data's first moment is identically zero; the
+        # meaningful first-order statistic is the removed mean itself.
+        on_offset = _discrepancy(offset.data.reshape(1, 1, -1), np.ones((1, 1)), 1, 1)
+        order_rows.append((on_offset, 0))
+    if spec.max_order >= first:
+        on_pops = _discrepancy(pops.data, weights.data, first, spec.max_order)
+        order_rows += [(on_pops, i) for i in range(len(on_pops.per_group))]
     per_order: dict[int, Tensor] = {}
-    steps = []  # (weight, count, vjp_x, vjp_w) of each order on the populations
-    offset_step = None
+    scales = []  # (weight, count) of each order
     total = None
-    chain = None  # the populations' products, built once for every order
     with np.errstate(all="ignore"):
-        for order in range(1, spec.max_order + 1):
+        for order, (est, i) in enumerate(order_rows, start=1):
             lam = spec.order_weights[order - 1]
-            on_offset = spec.mode == "global" and order == 1
-            if on_offset:
-                # The centered data's first moment is identically zero; the
-                # meaningful first-order statistic is the removed mean itself.
-                x = offset.data.reshape(1, 1, -1)
-                per_group, active, vjp_x, vjp_w = _discrepancy(
-                    x, np.ones((1, 1)), order, _product_chain(x, 0))
-            else:
-                if chain is None:
-                    chain = _product_chain(pops.data, spec.max_order - 1)
-                per_group, active, vjp_x, vjp_w = _discrepancy(
-                    pops.data, weights.data, order, chain)
-            count = float(active.sum())
-            summed = per_group.sum()
+            count = float(est.active.sum())
+            scales.append((lam, count))
+            summed = est.per_group[i].sum()
             _check_finite(summed, "sum")
             mean = np.divide(summed, count)
             _check_finite(mean, "div")
@@ -421,25 +472,23 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
                 term = np.add(total, term)
                 _check_finite(term, "add")
             total = term
-            step = (lam, count, vjp_x, vjp_w)
-            if on_offset:
-                offset_step = step
-            else:
-                steps.append(step)
 
-    def summed_vjp(of_weights: bool):
-        def vjp(g):
-            acc = None
-            for lam, count, vjp_x, vjp_w in reversed(steps):
-                d = (vjp_w if of_weights else vjp_x)((g * lam) / count)
-                acc = d if acc is None else acc + d
-            return acc
-        return vjp
+    def order_grads(g, orders, groups):
+        return np.array([np.full(groups, (g * lam) / count) for lam, count in orders])
 
     routes = []
-    if steps:
-        routes += [(pops, summed_vjp(False)), (weights, summed_vjp(True))]
-    if offset_step is not None:
-        lam, count, vjp_x, _ = offset_step
-        routes.append((offset, lambda g: vjp_x((g * lam) / count).reshape(offset.shape)))
+    if spec.max_order >= first:
+        memo: dict = {}
+
+        def grads(g):
+            # The populations and weights routes share one reverse pass.
+            if memo.get("g") is not g:
+                memo.update(g=g, d=on_pops.vjp(order_grads(g, scales[first - 1:], pops.shape[1]),
+                                               weights.tape is not None))
+            return memo["d"]
+
+        routes += [(pops, lambda g: grads(g)[0]), (weights, lambda g: grads(g)[1])]
+    if offset is not None:
+        routes.append((offset, lambda g: on_offset.vjp(
+            order_grads(g, scales[:1], 1), False)[0].reshape(offset.shape)))
     return _result(np.asarray(total), _join_tape(*(t for t, _ in routes)), *routes), per_order

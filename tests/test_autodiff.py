@@ -314,6 +314,24 @@ class TestClipGlobalNorm:
         norm = math.sqrt(sum(np.sum(np.square(p.grad)) for p in params))
         assert norm == pytest.approx(2.5, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_gradient_faults_and_leaves_the_gradients(self, bad, position):
+        # A NaN gradient used to pass unclipped (NaN > max_norm is False),
+        # and an infinite one was scaled by max_norm / inf = 0 into NaN
+        # while every other gradient was zeroed.
+        params = [Parameter(np.zeros(3), name="a"), Parameter(np.zeros(2), name="b")]
+        params[0].grad[:] = [3.0, 4.0, 0.0]
+        params[1].grad[:] = [1.0, 2.0]
+        params[position].grad[1] = bad
+        before = [p.grad.copy() for p in params]
+        name = "ab"[position]
+        with pytest.raises(NonFiniteError, match=f"^gradient of {name} is not finite$"):
+            clip_global_norm(params, 1.0)
+        for p, ref in zip(params, before):
+            np.testing.assert_array_equal(p.grad, ref)
+
     def test_idempotent(self, rng):
         p = Parameter(np.zeros(10))
         p.grad[:] = rng.uniform(-5, 5, 10)

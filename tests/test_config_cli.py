@@ -200,6 +200,9 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "order,hyperdiags,class_size,weight" in out
+        patterns = out.split("pattern,target\n")[1].split("\n\n")[0].splitlines()
+        assert patterns == ["i,0", "ii,1", "ij,0", "iii,0", "iij,0", "ijk,0",
+                            "iiii,3", "iijj,1", "iiij,0", "iijk,0", "ijkl,0"]
         assert "self-test passed" in out
 
     def test_moments_selftest_fails_on_a_wrong_class_size(self, capsys, monkeypatch):

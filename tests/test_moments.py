@@ -3,6 +3,7 @@ enumeration, targets against Monte-Carlo estimates, the vectorized loss
 against naive nested-loop oracles in both centralization modes, and the
 multiset primitive against the dense outer-product chain it replaced."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -31,7 +32,7 @@ from gmix.moments import (
     _MIN_CLUSTER_MASS,
     MomentSpec,
     _discrepancy,
-    _estimate,
+    _level_start,
     _product_chain,
     centralize,
     class_size,
@@ -78,20 +79,27 @@ def weight_tensor(order: int, dim: int) -> np.ndarray:
     return arr
 
 
-def moment_discrepancy(pops: Tensor, weights: Tensor | None, order: int):
-    """Weighted order-p moment discrepancy of each population, one tape record.
+def moment_discrepancy(pops: Tensor, weights: Tensor | None, first: int, last: int):
+    """Weighted moment discrepancies of orders first..last, one tape record.
 
     ``(per_group, active)`` of ``moments._discrepancy``, with ``per_group``
-    a tensor whose reverse pass is that function's.
+    an (orders, G) tensor whose reverse pass is that function's, shared by
+    the two routes as ``mom_loss`` shares it.
     """
     w = np.ones(pops.shape[:2]) if weights is None else weights.data
-    chain = _product_chain(pops.data, order - 1)
-    data, active, vjp_x, vjp_w = _discrepancy(pops.data, w, order, chain)
-    routes = [(pops, vjp_x)]
+    est = _discrepancy(pops.data, w, first, last)
+    memo = {}
+
+    def grads(g):
+        if memo.get("g") is not g:
+            memo.update(g=g, d=est.vjp(g, weights is not None and weights.tape is not None))
+        return memo["d"]
+
+    routes = [(pops, lambda g: grads(g)[0])]
     if weights is not None:
-        routes.append((weights, vjp_w))
+        routes.append((weights, lambda g: grads(g)[1]))
     tape = _join_tape(pops) if weights is None else _join_tape(pops, weights)
-    return _result(data, tape, *routes), active
+    return _result(est.per_group, tape, *routes), est.active
 
 
 def enumerate_class_sizes(p, dim):
@@ -276,7 +284,7 @@ def chain(zc, order, weights=None):
     n, dim = zc.shape
     w = np.ones((n, 1)) if weights is None else np.asarray(weights)[:, None]
     x = zc[:, None, :]
-    moments = _estimate(x, w, order, _product_chain(x, order - 1)).moments[0]
+    moments = _discrepancy(x, w, order, order).moments[0]
     position = multiset_positions(order, dim)
     dense = np.empty((dim,) * order)
     for t in itertools.product(range(dim), repeat=order):
@@ -346,18 +354,29 @@ def loss_and_grads(loss_fn, z, spec, head, sample_mask=None):
 def chain_mom_loss(z, spec, head=None, sample_mask=None):
     """The op-by-op loss the fused record replaced: the reference.
 
-    Each order is its own ``moment_discrepancy`` record over its own
-    product chain, then a sum, a division by the active count, a product
-    with the order's weight and the running add, one record each.
+    One ``moment_discrepancy`` record for all orders on the populations
+    (in global mode, order 1 is its own record on the removed mean), then
+    for each order: its row, picked exactly by a one-hot product and a sum
+    over orders (every other summand is 0), a sum, a division by the
+    active count, a product with the order's weight and the running add,
+    one record each.
     """
     batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
+    pops, weights = batch.populations, batch.weights
+    rows = []  # (per_group, active, row) of each order, lowest first
+    if spec.mode == "global":
+        offset = reshape(batch.mean_offset, (1, 1, pops.shape[2]))
+        rows.append((*moment_discrepancy(offset, None, 1, 1), 0))
+    first = len(rows) + 1
+    if spec.max_order >= first:
+        per_group, active = moment_discrepancy(pops, weights, first, spec.max_order)
+        rows += [(per_group, active, i) for i in range(per_group.shape[0])]
     per_order, total = {}, None
-    for order in range(1, spec.max_order + 1):
-        pops, weights = batch.populations, batch.weights
-        if spec.mode == "global" and order == 1:
-            pops, weights = reshape(batch.mean_offset, (1, 1, pops.shape[2])), None
-        per_group, active = moment_discrepancy(pops, weights, order)
-        term = spec.order_weights[order - 1] * (tsum(per_group) / float(active.sum()))
+    for order, (per_group, active, i) in enumerate(rows, start=1):
+        one_hot = np.zeros((per_group.shape[0], 1))
+        one_hot[i] = 1.0
+        picked = tsum(per_group * Tensor(one_hot), axis=0)
+        term = spec.order_weights[order - 1] * (tsum(picked) / float(active.sum()))
         per_order[order] = term
         total = term if total is None else total + term
     return total, per_order
@@ -502,6 +521,31 @@ class TestMomLoss:
                 per_large[p].append(large[p].item())
         for p in range(1, 5):
             assert np.median(per_large[p]) < np.median(per_small[p])
+
+    def test_per_cluster_loss_falls_as_one_over_n_on_the_heads_own_mixture(self):
+        # Samples drawn from the head's own mixture, classes uniform: the
+        # responsibility-weighted moment estimates are consistent, since
+        # E[r_k f] = pi_k E_{N_k}[f], so each order's loss is sampling
+        # noise alone and falls as 1/n. Each loss is the mean of 8 batches;
+        # a 16-fold larger batch must cut it 8- to 32-fold. A wrong target
+        # leaves a floor: with the kurtosis target 2.9 instead of 3, order
+        # 4 falls only about 4-fold.
+        dim, k, repeats = 3, 2, 8
+        head = init_head("aagmm", k, dim, seed=0)
+        sigma = np.sqrt(head.variances())
+        spec = MomentSpec(max_order=4, mode="per-cluster-soft")
+        rng = np.random.default_rng(0)
+        losses = {}
+        for n in (5_000, 80_000):
+            acc = np.zeros(4)
+            for _ in range(repeats):
+                c = rng.integers(0, k, n)
+                z = head.centers.value[c] + sigma[c] * rng.standard_normal((n, dim))
+                _, per = mom_loss(z, spec, head=head)
+                acc += [per[p].item() for p in range(1, 5)]
+            losses[n] = acc / repeats
+        ratio = losses[5_000] / losses[80_000]
+        assert np.all((8.0 < ratio) & (ratio < 32.0)), ratio
 
     def test_shift_sensitivity(self):
         rng = np.random.default_rng(7)
@@ -664,10 +708,27 @@ class TestMultisetPrimitive:
         for p in per:
             assert per[p].item() == pytest.approx(ref_per[p], rel=1e-12)
 
+    @pytest.mark.parametrize("shape, top", [((112, 8, 8), 3), ((1, 1, 8), 0), ((1, 1, 8), 3)])
+    def test_chain_products_are_the_left_to_right_products(self, shape, top, rng):
+        # The buffer is multiset-major, (rows, G, n), and each product is
+        # reduce(np.multiply, ...) over its multiset's axes in index order,
+        # bit for bit: at the mom4 training shape (112 rows, 8 clusters,
+        # D = 8) and at the one-row global offset.
+        x = rng.normal(size=shape) * 1.7
+        n, groups, dim = shape
+        buf = _product_chain(x, top)
+        assert buf.shape == (math.comb(dim + top, top), groups, n)
+        assert buf[0].tobytes() == np.ones((groups, n)).tobytes()
+        for k in range(1, top + 1):
+            start = _level_start(k, dim)
+            for u, t in enumerate(multiset_tuples(k, dim)):
+                ref = functools.reduce(np.multiply, [x[:, :, a] for a in t])
+                assert buf[start + u].tobytes() == ref.T.tobytes(), t
+
     def test_non_finite_moment_faults_with_the_order_named(self):
         pops = Tensor(np.full((4, 1, 2), 1e90))
         with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
-            moment_discrepancy(pops, None, 4)
+            moment_discrepancy(pops, None, 4, 4)
 
     @pytest.mark.parametrize("mode, kind", [
         ("global", None),
@@ -706,7 +767,7 @@ class TestMultisetPrimitive:
         x = rng.normal(size=(12, 1, 3))
         x[0, 0] = [3e77, 1.0, -2e77]
         with pytest.raises(NonFiniteError, match="mom_p4 produced a non-finite value"):
-            moment_discrepancy(Tensor(x), Tensor(np.ones((12, 1))), 4)
+            moment_discrepancy(Tensor(x), Tensor(np.ones((12, 1))), 4, 4)
 
     def test_starved_group_gets_no_gradient(self, rng):
         # Group 1's mass is positive but below the estimable minimum: it is
@@ -715,9 +776,9 @@ class TestMultisetPrimitive:
         tape = Tape()
         pops = Tensor(rng.normal(size=(10, 2, 3)), tape)
         weights = Tensor(np.stack([rng.uniform(0.1, 1.0, 10), np.full(10, 1e-12)], axis=1), tape)
-        per_group, active = moment_discrepancy(pops, weights, 3)
+        per_group, active = moment_discrepancy(pops, weights, 3, 3)
         assert active.tolist() == [True, False]
-        assert per_group.data[1] == 0.0
+        assert per_group.data[0, 1] == 0.0
         backward(tsum(per_group))
         assert np.all(pops.grad[:, 1] == 0.0) and np.any(pops.grad[:, 0] != 0.0)
         assert np.all(weights.grad[:, 1] == 0.0) and np.any(weights.grad[:, 0] != 0.0)
@@ -726,7 +787,7 @@ class TestMultisetPrimitive:
         weights = Tensor(np.zeros((5, 2)))
         pops = Tensor(np.ones((5, 2, 3)))
         with pytest.raises(ValueError, match="degenerate"):
-            moment_discrepancy(pops, weights, 2)
+            moment_discrepancy(pops, weights, 2, 2)
 
 
 class TestFusedMomLoss:

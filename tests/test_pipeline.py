@@ -428,6 +428,20 @@ class TestRun:
                            match=f"^step {step}: eval: log_joint produced a non-finite value$"):
             run(small_config(steps=25, eval_every=10), SMALL_DATA)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_names_its_step(self, monkeypatch, bad):
+        # A reverse pass that leaves a NaN or infinite gradient faults at the
+        # clip instead of reaching the optimizer.
+        def poisoned_backward(loss):
+            backward(loss)
+            first_used = next(iter(loss.tape._leaves))  # the Parameter, not its leaf
+            first_used.grad[0] = bad
+
+        monkeypatch.setattr(pipeline, "backward", poisoned_backward)
+        with pytest.raises(FloatingPointError,
+                           match="^step 1: gradient of backbone.w0 is not finite$"):
+            run(small_config(steps=3), SMALL_DATA)
+
     def test_determinism_bytes(self, tmp_path):
         config = small_config(steps=20, gate=GateConfig(enabled=True, mode="min"))
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
