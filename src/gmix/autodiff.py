@@ -522,8 +522,9 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
 
     Returns the scaling factor applied (1.0 when no clipping happened).
     A finite gradient whose sum of squares overflows is measured again,
-    divided by its largest entry and scaled back (Anderson 2017, "Safe
-    scaling in the Level 1 BLAS"), so it is clipped rather than zeroed.
+    divided by its largest entry (Anderson 2017, "Safe scaling in the
+    Level 1 BLAS"), and clipped in that unit, so it is clipped rather than
+    zeroed even when its joint norm exceeds the float range.
     A NaN or infinite entry raises :class:`NonFiniteError` naming its
     parameter: no scale clips it, and scaling an infinite entry by 0
     would make it NaN.
@@ -532,18 +533,22 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))
-    norm = math.sqrt(total)
+    big = 1.0
     if not math.isfinite(total):
         for p in params:
             if not _all_finite(p.grad):
                 raise NonFiniteError(f"gradient of {p.name or 'a parameter'} is not finite")
         big = max(float(np.max(np.abs(p.grad), initial=0.0)) for p in params)
-        norm = big * math.sqrt(sum(float(np.sum(np.square(p.grad / big))) for p in params))
-    if norm > max_norm and norm > 0.0:
+        total = sum(float(np.sum(np.square(p.grad / big))) for p in params)
+    # The joint norm is big * norm, which itself may overflow.
+    norm = math.sqrt(total)
+    if norm > max_norm / big and norm > 0.0:
         scale = max_norm / norm
         for p in params:
+            if big != 1.0:
+                p.grad /= big
             p.grad *= scale
-        return scale
+        return scale / big
     return 1.0
 
 

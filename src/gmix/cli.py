@@ -207,7 +207,9 @@ def _cmd_sweep(args) -> int:
         if run_dir in first:
             raise ValueError(f"--grid combos {first[run_dir]!r} and {label!r} give one config")
         first[run_dir] = label
-    jobs = args.jobs or os.cpu_count() or 1
+    # The CPUs this process may run on, not every CPU of the machine.
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = args.jobs or usable or 1
     if jobs > 1 and len(tasks) > 1:
         with Pool(min(jobs, len(tasks)), initializer=_worker_signals) as pool:
             results = pool.map(_sweep_worker, tasks)
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="expand comma grids into parallel runs")
     p.add_argument("config")
     p.add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: the CPUs this process may run on)")
     p.add_argument("--out-root", default=None)
     p.set_defaults(fn=_cmd_sweep)
     return parser

@@ -314,6 +314,17 @@ class TestClipGlobalNorm:
         norm = math.sqrt(sum(np.sum(np.square(p.grad)) for p in params))
         assert norm == pytest.approx(2.5, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_gradient_whose_norm_overflows_is_clipped(self):
+        # The joint norm, 2.1e308, is above the float range: measuring it
+        # and dividing max_norm by it would zero the gradient.
+        p = Parameter(np.zeros(2))
+        p.grad[:] = [1.5e308, 1.5e308]
+        scale = clip_global_norm([p], 1.0)
+        assert scale > 0.0
+        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(p.grad, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-12)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [0, 1])

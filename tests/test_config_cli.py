@@ -456,6 +456,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "run.seed=0" in out and "run.seed=1" in out
 
+    def test_sweep_jobs_default_to_the_usable_cpus(self, tmp_path, monkeypatch, capsys):
+        # One usable CPU runs the combos in this process, without a Pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep on one usable CPU created a Pool")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli, "Pool", no_pool)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_RUN)
+        out_root = tmp_path / "sweep"
+        code = main(["sweep", str(config_path), "--grid", "run.seed=0,1",
+                     "--out-root", str(out_root)])
+        assert code == 0
+        assert len(list(out_root.iterdir())) == 2
+
     def test_sweep_grid_value_replaces_the_files(self, tmp_path):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(TINY_RUN)  # sets run.steps = 20
