@@ -5,13 +5,6 @@ mixture / KMeans / linear-softmax final layers, method-of-moments
 embedding losses against a standard-normal target, a Mahalanobis
 outlier gate, synthetic datasets, and a semi-supervised pseudo-labeling
 training pipeline, all driven by the ``gmix`` command-line tool.
-
-Importing the package sets numpy's BLAS to one thread for the whole
-process (see ``gmix._blas``).
 """
 
 __version__ = "0.1.0"
-
-from gmix import _blas
-
-_blas.use_one_thread()

@@ -1,12 +1,19 @@
-"""Run numpy's BLAS on the calling thread.
+"""Run numpy's BLAS on the calling thread when a training step gains nothing from more.
 
-A product above OpenBLAS's one-thread limit (M·N·K > 10^6, such as the
-lift in ``datasets.generate`` or a 512-row embed block) wakes its worker
-thread, which then busy-waits for work for about 130 ms, often on the
-core the training step runs on. No training-step product is that large,
-so the worker only costs time; a sweep uses more cores through its
-worker processes instead. The thread count changes how the output matrix
-is split, not any entry of it, so results stay bit for bit the same.
+``pipeline.run`` calls ``limit_threads``; importing gmix leaves the host
+process's BLAS alone. A product above OpenBLAS's one-thread limit (such as
+the lift in ``datasets.generate`` or a 512-row embed block of an
+evaluation) wakes its worker thread, which then busy-waits for work for
+about 130 ms, often on the core the training step runs on. When every
+product of a training step is under the limit, as at the default shapes,
+the worker only costs time and memory, so ``run`` asks for one thread; a
+sweep uses more cores through its worker processes instead. When a step's
+products are above it, the second thread splits them and pays: on the
+2-vCPU host this was measured on, a step was 24 % slower on one thread
+at ``ssl.labeled_batch = 32`` and 14 % at 64. So there ``run`` puts back
+the count the library had before gmix first set it. The thread count
+changes how the output matrix is split, not any entry of it, so results
+stay bit for bit the same.
 """
 
 from __future__ import annotations
@@ -17,12 +24,22 @@ from pathlib import Path
 
 import numpy as np
 
+# OpenBLAS 0.3.31 (Haswell kernels) keeps every product form a training
+# step uses on the calling thread below this M·N·K. `g @ w.T` woke the
+# worker at 128×64×64 = 2^19 but not at 127×64×64, 64×90×90 or 100×72×72;
+# `x @ w` and `h.T @ g` stayed there up to 10^6. Other builds and CPUs may
+# split smaller products.
+ONE_THREAD_LIMIT = 2**19
+
 # numpy 2.x wheels first, then older wheels' ILP64 and plain OpenBLAS builds.
 _SETTERS = (
     "scipy_openblas_set_num_threads64_",
     "openblas_set_num_threads64_",
     "openblas_set_num_threads",
 )
+
+# Each library's thread count before gmix first set it, by path.
+_FIRST_COUNT: dict[str, int] = {}
 
 
 def _blas_libraries() -> list[str]:
@@ -41,16 +58,26 @@ def _blas_libraries() -> list[str]:
             if d.is_dir() for p in sorted(d.glob("*blas*"))]
 
 
-def use_one_thread() -> bool:
-    """Ask numpy's BLAS for one thread; False when no known setter is found."""
+def limit_threads(one: bool) -> bool:
+    """Set every BLAS library found to one thread, or back to its count before gmix set it.
+
+    Maps list libraries by address, not load order, so a second OpenBLAS
+    (another package's wheel) may come before numpy's; each one is set.
+    False when no library has a known setter and getter.
+    """
+    found = False
     for path in _blas_libraries():
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter(1)
-                return True
-    return False
+        name = next((n for n in _SETTERS
+                     if hasattr(lib, n) and hasattr(lib, n.replace("_set_", "_get_"))), None)
+        if name is None:
+            continue
+        count = getattr(lib, name.replace("_set_", "_get_"))()
+        first = _FIRST_COUNT.setdefault(path, count)
+        if count != (1 if one else first):
+            getattr(lib, name)(1 if one else first)
+        found = True
+    return found

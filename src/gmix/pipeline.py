@@ -21,6 +21,7 @@ the two and owns its schema.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .autodiff import (
     NonFiniteError,
     Parameter,
@@ -41,7 +43,7 @@ from .autodiff import (
 )
 from .datasets import Dataset, SyntheticSpec, augment_strong, augment_weak, generate
 from .fileio import atomic_write
-from .heads import HEAD_KINDS, Backbone, conditional, init_head, log_conditional
+from .heads import HEAD_KINDS, HIDDEN_WIDTHS, Backbone, conditional, init_head, log_conditional
 from .metrics import EvalResult, MetricsReport, StepStats, compactness, pseudo_quality
 from .moments import MomentSpec, mom_loss
 from .outlier import OutlierGate, fit_threshold, mask as gate_mask
@@ -385,6 +387,22 @@ def _evaluate_at(step: int, state: TrainState, dataset: Dataset) -> EvalResult:
         raise FloatingPointError(f"step {step}: eval: {e}") from e
 
 
+def _largest_step_product(config: RunConfig, spec: SyntheticSpec) -> int:
+    """M·N·K of the largest matrix product one training step forms.
+
+    A backbone layer over the larger of the two batches (each view is
+    embedded on its own), or the moment loss's matmul of its V lower
+    product levels with the 2·latent_dim columns of its reverse pass
+    (``moments._discrepancy``), V = C(latent_dim + orders - 1, orders - 1).
+    """
+    rows = config.labeled_batch * max(1, config.unlabeled_ratio if config.ssl_active else 1)
+    widths = (spec.ambient_dim, *HIDDEN_WIDTHS, config.latent_dim)
+    layer = max(a * b for a, b in zip(widths, widths[1:]))
+    top = config.moments.max_order
+    levels = math.comb(config.latent_dim + top - 1, top - 1) if top else 0
+    return rows * max(layer, levels * 2 * config.latent_dim)
+
+
 def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     """Execute a full training run.
 
@@ -394,12 +412,16 @@ def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):
     when evaluation raised it. When ``out_dir`` is given, writes
     metrics.csv, manifest.json, and checkpoint.bin there, each to a
     temporary file renamed into place. Returns ``(report, state, manifest)``.
+    Leaves numpy's BLAS on one thread for the rest of the process when
+    every product of a training step is under OpenBLAS's one-thread limit,
+    and at its count from before gmix set it otherwise (``gmix._blas``).
     """
     # Call-time imports: ``config`` imports this module, and the benchmark's
     # tracer patches ``checkpoint.save_checkpoint`` where it is defined.
     from .checkpoint import model_arrays, save_checkpoint
     from .config import config_hash, flatten_config
 
+    _blas.limit_threads(one=_largest_step_product(config, data_spec) < _blas.ONE_THREAD_LIMIT)
     started = time.perf_counter()
     dataset = generate(data_spec)
     state = init_state(config, dataset)
