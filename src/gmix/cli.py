@@ -293,7 +293,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, FloatingPointError, OSError) as e:
+    except (ValueError, FloatingPointError, OSError, MemoryError, OverflowError) as e:
+        # MemoryError and OverflowError: sizes numpy cannot allocate or index.
         print(f"error: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

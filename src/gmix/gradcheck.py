@@ -16,6 +16,7 @@ from .autodiff import Parameter, Tape, Tensor, finite_diff_check
 from . import autodiff as ad
 from .heads import LEAKY_SLOPE, _dense_layer, init_head, log_conditional
 from .moments import MomentSpec, mom_loss
+from .pipeline import _nll
 
 TOLERANCE = 1e-4
 SEED = 2024
@@ -95,12 +96,11 @@ def _head_rows(rng) -> list[CheckRow]:
         head = init_head(kind, 3, 4, seed=11)
         z = Parameter(rng.uniform(-2, 2, (6, 4)))
         labels = rng.integers(0, 3, 6)
-        onehot = np.eye(3)[labels]
 
-        def fn(head=head, z=z, onehot=onehot):
+        def fn(head=head, z=z, labels=labels):
+            # The negative log-likelihood record the training step takes.
             tape = Tape()
-            lc = log_conditional(head, z.use(tape), tape)
-            return -(ad.tsum(lc * Tensor(onehot), axis=1)).mean()
+            return _nll(log_conditional(head, z.use(tape), tape), labels, 3).mean()
 
         for param, tag in [(z, "z")] + [
             (p, p.name.split(".")[-1]) for p in head.parameters()

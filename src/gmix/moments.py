@@ -206,59 +206,6 @@ def multiset_tuples(order: int, dim: int) -> list[tuple[int, ...]]:
     )
 
 
-@dataclass(frozen=True)
-class Multisets:
-    """Per-multiset tables of one (order, dim), in :func:`multiset_tuples` order.
-
-    A moment tensor is symmetric under any permutation of its indices, so
-    its multisets carry every distinct entry. ``coef`` is each multiset's
-    multiplicity order!/prod(count!) times its class weight, so a sum over
-    the multisets equals the weighted sum over all dim**order entries.
-    Each multiset u is the (order-1)-multiset ``pair_lower[u]`` extended by
-    its largest axis ``pair_axis[u]``: the pair the product chain extends.
-    For each (order-1)-multiset v and axis d, ``grad_index[v, d]`` is the
-    multiset v + {d} and ``grad_count[v, d]`` the number of times d occurs
-    in it: the derivative of that multiset's product with respect to axis
-    d is ``grad_count[v, d]`` times the product of v.
-    """
-
-    coef: np.ndarray
-    target: np.ndarray
-    pair_lower: np.ndarray
-    pair_axis: np.ndarray
-    grad_index: np.ndarray
-    grad_count: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def multisets(order: int, dim: int) -> Multisets:
-    """The read-only tables of one (order, dim), built once."""
-    tuples = multiset_tuples(order, dim)
-    position = {t: u for u, t in enumerate(tuples)}
-    below = multiset_tuples(order - 1, dim)
-    below_position = {v: i for i, v in enumerate(below)}
-    sizes = {h: class_size(order, dim, h) for h in range(order)}
-    coef = []
-    for t in tuples:
-        counts = (t.count(axis) for axis in set(t))
-        multiplicity = math.factorial(order) // math.prod(math.factorial(c) for c in counts)
-        coef.append(multiplicity / sizes[hyperdiag_count(t)])
-    table = Multisets(
-        coef=np.array(coef),
-        target=np.array([target_moment(t) for t in tuples]),
-        pair_lower=np.array([below_position[t[:-1]] for t in tuples], dtype=np.intp),
-        pair_axis=np.array([t[-1] for t in tuples], dtype=np.intp),
-        grad_index=np.array(
-            [[position[tuple(sorted(v + (d,)))] for d in range(dim)] for v in below],
-            dtype=np.intp,
-        ),
-        grad_count=np.array([[v.count(d) + 1.0 for d in range(dim)] for v in below]),
-    )
-    for arr in vars(table).values():
-        arr.setflags(write=False)
-    return table
-
-
 def _level_start(order: int, dim: int) -> int:
     """Row of the product buffer where the order-``order`` multisets begin.
 
@@ -268,17 +215,33 @@ def _level_start(order: int, dim: int) -> int:
     return math.comb(dim + order - 1, order - 1) if order > 0 else 0
 
 
+def _reverse_matmul_size(order: int, dim: int) -> int:
+    """K·N of :func:`_discrepancy`'s reverse matmul, whose M is the sample rows.
+
+    The V product rows below order ``order`` (K) times the 2·dim columns of
+    the right-hand side that holds both gradients (N); 0 when ``order`` is 0.
+    """
+    return _level_start(order, dim) * 2 * dim
+
+
 @dataclass(frozen=True)
 class StackedMultisets:
-    """The :class:`Multisets` of orders first..last, laid end to end.
+    """Per-multiset tables of orders first..last at one dim, laid end to end.
 
-    Column j of the stacked tables is one multiset of order
-    ``first + order[j]``; each order's columns are ``bounds[i]``. The
-    orders read the product buffer rows ``rows``, levels first-1..last-1.
-    ``pair_row`` and ``pair_axis`` are each multiset's canonical pair, its
-    row numbered within ``rows``. ``grad_index`` and ``grad_count`` have one
-    row per buffer row in ``rows``: that product's multiset extended by
-    each axis, as a stacked column, and the count of the axis in it.
+    A moment tensor is symmetric under any permutation of its indices, so
+    its multisets carry every distinct entry. Column j is one multiset of
+    order ``first + order[j]``, each order's in :func:`multiset_tuples`
+    order, in columns ``bounds[i]``. ``coef`` is each multiset's
+    multiplicity p!/prod(count!) times its class weight, so a sum over an
+    order's multisets equals the weighted sum over all dim**p entries.
+    The orders read the product buffer rows ``rows``, levels first-1..last-1.
+    Each multiset is its canonical pair: the lower multiset in row
+    ``pair_row`` (numbered within ``rows``) extended by its largest axis
+    ``pair_axis``. ``grad_index`` and ``grad_count`` have one row per
+    buffer row in ``rows``: ``grad_index[r, d]`` is the column of row r's
+    multiset extended by axis d, and ``grad_count[r, d]`` the number of
+    times d occurs in it, so the derivative of that column's product with
+    respect to axis d is ``grad_count[r, d]`` times row r's product.
     """
 
     rows: slice
@@ -294,22 +257,35 @@ class StackedMultisets:
 
 @lru_cache(maxsize=None)
 def stacked_multisets(first: int, last: int, dim: int) -> StackedMultisets:
-    """The read-only tables of orders first..last at one dim, built once."""
-    tables = [multisets(p, dim) for p in range(first, last + 1)]
-    base = _level_start(first - 1, dim)
-    columns = np.cumsum([0] + [t.coef.size for t in tables])
+    """The read-only tables of orders first..last at one dim, built once.
+
+    Levels first-1..last of the product buffer hold the multisets of those
+    orders in turn: the lower ones are its ``rows``, and a column is a
+    buffer row counted from level ``first``.
+    """
+    base, top, shift = (_level_start(p, dim) for p in (first - 1, last, first))
+    tuples = [t for p in range(first - 1, last + 1) for t in multiset_tuples(p, dim)]
+    row = {t: base + i for i, t in enumerate(tuples)}  # each multiset's buffer row
+    lower, upper = tuples[:top - base], tuples[shift - base:]
+    coef = []
+    for t in upper:
+        counts = (t.count(axis) for axis in set(t))
+        multiplicity = math.factorial(len(t)) // math.prod(math.factorial(c) for c in counts)
+        coef.append(multiplicity / class_size(len(t), dim, hyperdiag_count(t)))
     stacked = StackedMultisets(
-        rows=slice(base, _level_start(last, dim)),
-        bounds=tuple(zip(columns[:-1].tolist(), columns[1:].tolist())),
-        order=np.repeat(np.arange(len(tables)), [t.coef.size for t in tables]),
-        coef=np.concatenate([t.coef for t in tables]),
-        target=np.concatenate([t.target for t in tables]),
-        pair_row=np.concatenate([
-            _level_start(p - 1, dim) - base + t.pair_lower
-            for p, t in zip(range(first, last + 1), tables)]),
-        pair_axis=np.concatenate([t.pair_axis for t in tables]),
-        grad_index=np.concatenate([c + t.grad_index for c, t in zip(columns, tables)]),
-        grad_count=np.concatenate([t.grad_count for t in tables]),
+        rows=slice(base, top),
+        bounds=tuple((_level_start(p, dim) - shift, _level_start(p + 1, dim) - shift)
+                     for p in range(first, last + 1)),
+        order=np.array([len(t) - first for t in upper], dtype=np.intp),
+        coef=np.array(coef),
+        target=np.array([target_moment(t) for t in upper]),
+        pair_row=np.array([row[t[:-1]] - base for t in upper], dtype=np.intp),
+        pair_axis=np.array([t[-1] for t in upper], dtype=np.intp),
+        grad_index=np.array(
+            [[row[tuple(sorted(v + (d,)))] - shift for d in range(dim)] for v in lower],
+            dtype=np.intp,
+        ),
+        grad_count=np.array([[v.count(d) + 1.0 for d in range(dim)] for v in lower]),
     )
     for arr in vars(stacked).values():
         if isinstance(arr, np.ndarray):
@@ -435,7 +411,9 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     gradient goes to ``mean_offset``. The forward then takes, order by
     order, the sum over populations, the division by the active count,
     the product with the order's weight and the running add, with the
-    op-by-op chain's finiteness checks. The reverse pass gives each order
+    op-by-op chain's finiteness checks on the sum, product and add (a
+    finite sum divided by at least one active population stays finite,
+    so the division needs none). The reverse pass gives each order
     ``(g * weight) / count``, spread over the populations, and passes all
     orders through one reverse pass shared by the populations and weights.
     """
@@ -463,9 +441,7 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
             scales.append((lam, count))
             summed = est.per_group[i].sum()
             _check_finite(summed, "sum")
-            mean = np.divide(summed, count)
-            _check_finite(mean, "div")
-            term = np.multiply(lam, mean)
+            term = np.multiply(lam, np.divide(summed, count))
             _check_finite(term, "mul")
             per_order[order] = Tensor(term)
             if total is not None:

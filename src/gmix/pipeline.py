@@ -21,7 +21,6 @@ the two and owns its schema.
 from __future__ import annotations
 
 import json
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,7 +44,7 @@ from .datasets import Dataset, SyntheticSpec, augment_strong, augment_weak, gene
 from .fileio import atomic_write
 from .heads import HEAD_KINDS, HIDDEN_WIDTHS, Backbone, conditional, init_head, log_conditional
 from .metrics import EvalResult, MetricsReport, StepStats, compactness, pseudo_quality
-from .moments import MomentSpec, mom_loss
+from .moments import MomentSpec, _reverse_matmul_size, mom_loss
 from .outlier import OutlierGate, fit_threshold, mask as gate_mask
 
 
@@ -393,14 +392,12 @@ def _largest_step_product(config: RunConfig, spec: SyntheticSpec) -> int:
     A backbone layer over the larger of the two batches (each view is
     embedded on its own), or the moment loss's matmul of its V lower
     product levels with the 2·latent_dim columns of its reverse pass
-    (``moments._discrepancy``), V = C(latent_dim + orders - 1, orders - 1).
+    (``moments._reverse_matmul_size``).
     """
     rows = config.labeled_batch * max(1, config.unlabeled_ratio if config.ssl_active else 1)
     widths = (spec.ambient_dim, *HIDDEN_WIDTHS, config.latent_dim)
     layer = max(a * b for a, b in zip(widths, widths[1:]))
-    top = config.moments.max_order
-    levels = math.comb(config.latent_dim + top - 1, top - 1) if top else 0
-    return rows * max(layer, levels * 2 * config.latent_dim)
+    return rows * max(layer, _reverse_matmul_size(config.moments.max_order, config.latent_dim))
 
 
 def run(config: RunConfig, data_spec: SyntheticSpec, out_dir=None):

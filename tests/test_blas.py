@@ -86,6 +86,13 @@ def test_step_product_limit_falls_between_the_default_and_a_32_row_batch():
     assert _largest_step_product(large, spec) == 224 * 64 * 64 > _blas.ONE_THREAD_LIMIT
 
 
+def test_step_product_of_a_moment_bound_config_is_the_moment_reverse_matmul():
+    # At latent_dim 16 and order 4 the moment loss's reverse matmul, 112
+    # rows × 969 lower products × 32 columns, outgrows every layer product.
+    config, spec, _ = parse_config_text("head.latent_dim = 16\nmom.orders = 4\n", source="<d16>")
+    assert _largest_step_product(config, spec) == 112 * 969 * 32 > _blas.ONE_THREAD_LIMIT
+
+
 class FakeLibrary:
     """An OpenBLAS stand-in whose thread count starts at 4; named by its path."""
 

@@ -1,7 +1,9 @@
 """Config-file parsing contracts and CLI subcommand behavior."""
 
+import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -173,6 +175,12 @@ def readme_defaults() -> dict[str, str]:
     return rows
 
 
+def readme_synopsis() -> dict[str, str]:
+    """Each subcommand's line of the README's CLI synopsis, by name."""
+    block = README.read_text().split("## CLI\n", 1)[1].split("```")[1]
+    return {line.split()[1]: line for line in block.splitlines() if line.startswith("gmix ")}
+
+
 class TestReadmeTable:
     def test_rows_are_the_schema_keys(self):
         assert list(readme_defaults()) == list(SCHEMA)
@@ -181,6 +189,21 @@ class TestReadmeTable:
         roots = {"run": RunConfig(), "data": SyntheticSpec()}
         for key, text in readme_defaults().items():
             assert SCHEMA[key].parse(text) == _lookup(roots, SCHEMA[key].path), key
+
+    def test_synopsis_shows_every_option_of_each_subcommand(self):
+        # An option with choices is shown with them: --split labeled|unlabeled|test.
+        (subcommands,) = [a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)]
+        lines = readme_synopsis()
+        assert list(lines) == list(subcommands.choices)
+        for name, parser in subcommands.choices.items():
+            for action in parser._actions:
+                for option in action.option_strings:
+                    if not option.startswith("--") or option == "--help":
+                        continue
+                    choices = "" if action.choices is None else " " + "|".join(action.choices)
+                    shown = option + choices
+                    assert re.search(re.escape(shown) + r"(?![\w-])", lines[name]), (name, shown)
 
 
 class TestCli:
@@ -366,6 +389,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert errors == ["error: step 2: log_joint produced a non-finite value"]
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("line", [
+        "data.ambient = 1000000000",  # a 6.94 EiB draw: MemoryError
+        "ssl.labeled_batch = 100000000000000000000",  # past a C long: OverflowError
+        "data.test = 100000000000000000000",
+    ], ids=["ambient", "labeled_batch", "test"])
+    def test_size_beyond_the_address_space_prints_one_error_line(self, tmp_path, capsys, line):
+        # Only sizes past the address space, which numpy refuses before
+        # allocating: a merely huge one could start filling memory on a
+        # host that overcommits.
+        config_path = tmp_path / "huge.cfg"
+        config_path.write_text(f"run.steps = 2\nrun.eval_every = 1\n{line}\n")
+        out_root = tmp_path / "runs"
+        assert main(["train", str(config_path), "--out-root", str(out_root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out_root.exists()
 
     @pytest.mark.parametrize("sig, code, line", [

@@ -40,7 +40,7 @@ from gmix.moments import (
     hyperdiag_count,
     mom_loss,
     multiset_tuples,
-    multisets,
+    stacked_multisets,
     target_moment,
 )
 
@@ -646,7 +646,7 @@ class TestMultisetPrimitive:
         # Every dense entry equals its multiset's target, and its weight
         # times the multiset's multiplicity equals the folded coefficient.
         dim = 8
-        table = multisets(order, dim)
+        table = stacked_multisets(order, order, dim)
         assert table.coef.shape == (count,) == (math.comb(dim + order - 1, order),)
         position = multiset_positions(order, dim)
         targets, weights = moment_targets(order, dim), weight_tensor(order, dim)
@@ -656,6 +656,40 @@ class TestMultisetPrimitive:
             assert targets[t] == table.target[u]
             folded[u] += weights[t]
         np.testing.assert_allclose(folded, table.coef, rtol=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("first, last",
+                             [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)])
+    def test_stacked_table_pairs_gathers_and_order_tiling(self, first, last, dim):
+        # The columns are the multisets of orders first..last and the rows
+        # those of orders first-1..last-1, each order's in multiset_tuples
+        # order: the product buffer's levels.
+        table = stacked_multisets(first, last, dim)
+        columns = [t for p in range(first, last + 1) for t in multiset_tuples(p, dim)]
+        rows = [v for p in range(first - 1, last) for v in multiset_tuples(p, dim)]
+        column = {t: j for j, t in enumerate(columns)}
+        assert table.rows == slice(_level_start(first - 1, dim), _level_start(last, dim))
+        assert table.rows.stop - table.rows.start == len(rows)
+        assert table.coef.shape == table.target.shape == table.order.shape == (len(columns),)
+        for j, t in enumerate(columns):
+            assert table.pair_axis[j] == max(t)
+            assert rows[table.pair_row[j]] + (table.pair_axis[j],) == t
+        assert table.grad_index.shape == table.grad_count.shape == (len(rows), dim)
+        for r, v in enumerate(rows):
+            for d in range(dim):
+                t = tuple(sorted(v + (d,)))
+                assert table.grad_index[r, d] == column[t]
+                assert table.grad_count[r, d] == t.count(d)
+        stop = 0
+        for i, (lo, hi) in enumerate(table.bounds):
+            assert lo == stop
+            stop = hi
+            assert {len(t) for t in columns[lo:hi]} == {first + i}
+            assert np.all(table.order[lo:hi] == i)
+            own = stacked_multisets(first + i, first + i, dim)
+            assert table.coef[lo:hi].tobytes() == own.coef.tobytes()
+            assert table.target[lo:hi].tobytes() == own.target.tobytes()
+        assert len(table.bounds) == last - first + 1 and stop == len(columns)
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("mode, kind", [
@@ -698,7 +732,7 @@ class TestMultisetPrimitive:
 
     def test_dim_16_order_4_matches_nested_loop_oracle(self, rng):
         # 3,876 multisets stand for the 65,536 dense entries.
-        assert multisets(4, 16).coef.size == 3876
+        assert stacked_multisets(4, 4, 16).coef.size == 3876
         head = init_head("aagmm", 2, 16, seed=1)
         z = rng.normal(size=(6, 16))
         spec = MomentSpec(max_order=4, mode="per-cluster-soft")

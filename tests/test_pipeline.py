@@ -6,12 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gmix import pipeline
+from gmix import gradcheck, pipeline
 from gmix.autodiff import (
     NonFiniteError,
     Parameter,
     Tape,
     Tensor,
+    _result,
     backward,
     clip_global_norm,
     tsum,
@@ -311,6 +312,20 @@ class TestFusedNll:
         for fn in (_nll, chain_nll):
             with pytest.raises(NonFiniteError, match="mul produced"):
                 fn(Tensor(log_cond), np.array([0, 0]), 2)
+
+    def test_gradcheck_fails_the_ce_rows_on_a_scaled_reverse_pass(self, monkeypatch):
+        # The gradcheck's cross-entropy rows run the record training takes:
+        # with its reverse pass scaled by 1.01, they fail and only they do.
+        def scaled_nll(log_cond, labels, n_classes):
+            onehot = np.eye(n_classes)[labels]
+            forward = _nll(Tensor(log_cond.data), labels, n_classes).data
+            return _result(forward, log_cond.tape,
+                           (log_cond, lambda g: 1.01 * (-g)[:, None] * onehot))
+
+        monkeypatch.setattr(gradcheck, "_nll", scaled_nll)
+        rows = gradcheck.run_suite(quick=True)
+        failed = [r.name for r in rows if not r.passed]
+        assert failed == [r.name for r in rows if "-ce " in r.name] and len(failed) == 5
 
 
 class TestTape:
