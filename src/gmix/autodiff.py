@@ -27,6 +27,13 @@ loss) are each one record with a hand-derived reverse pass that repeats
 the arithmetic of the op-by-op chain it replaces, so they give the same
 bits as that chain. Where a primitive repeats an op's forward, it calls
 that op's helper (``_leaky``, ``_logsumexp_kept``) rather than a copy.
+Two rules serve them. Routes that share one reverse computation pass it
+to :func:`_result` as ``shared``: it runs once per reverse pass, and each
+route reads its result. A primitive that fuses two checked ops checks only
+the later result, where a non-finite earlier one always shows, and hands
+:func:`_check_finite` the earlier op as ``earlier``, an ``(op, thunk)``
+pair: the thunk runs only when the check fails, and if its result is
+non-finite too the error names the earlier op, as the chain did.
 
 A tape and the tensors it records form reference cycles, so their memory
 is returned only when the records are dropped: ``pipeline.train_step``
@@ -260,8 +267,11 @@ def _all_finite(data: np.ndarray) -> bool:
     return math.isfinite(data.sum()) or bool(np.all(np.isfinite(data)))
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def _check_finite(data: np.ndarray, op: str, earlier=None) -> None:
+    """Raise naming ``op`` unless ``data`` is finite; ``earlier``: see the module doc."""
     if not _all_finite(data):
+        if earlier is not None:
+            _check_finite(earlier[1](), earlier[0])
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -269,13 +279,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _result(data: np.ndarray, tape: Tape | None, *routes) -> Tensor:
+def _result(data: np.ndarray, tape: Tape | None, *routes, shared=None) -> Tensor:
     """Wrap an op's forward result; on a tape, record its gradient route.
 
     Each route is an ``(operand, vjp)`` pair: the recorded closure passes
     the output gradient through ``vjp`` into ``operand``, pair by pair in
     the order given. Routes into constants, operands without a tape, are
-    dropped: nothing reads their gradient.
+    dropped: nothing reads their gradient. With ``shared``, each ``vjp``
+    gets ``shared(g)``, computed once per reverse pass, in place of ``g``.
     """
     out = Tensor(data, tape)
     if tape is not None:
@@ -285,6 +296,8 @@ def _result(data: np.ndarray, tape: Tape | None, *routes) -> Tensor:
             g = out.grad
             if g is None:
                 return
+            if shared is not None:
+                g = shared(g)
             for operand, vjp in routes:
                 _accumulate(operand, vjp(g))
 
@@ -354,24 +367,22 @@ def div(a, b) -> Tensor:
     )
 
 
-def _matmul_data(a: Tensor, b: Tensor, check: bool = True) -> np.ndarray:
-    """``a.data @ b.data`` for 2-D operands, checked finite if ``check``."""
+def _matmul_data(a: Tensor, b: Tensor) -> np.ndarray:
+    """``a.data @ b.data`` for 2-D operands, unchecked."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(
             f"matmul: inner dimensions differ ({a.data.shape} @ {b.data.shape})"
         )
-    data = a.data @ b.data
-    if check:
-        _check_finite(data, "matmul")
-    return data
+    return a.data @ b.data
 
 
 def matmul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
     data = _matmul_data(a, b)
+    _check_finite(data, "matmul")
     return _result(
         data, _join_tape(a, b), (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)
     )

@@ -44,7 +44,6 @@ import math
 import numpy as np
 
 from .autodiff import (
-    NonFiniteError,
     Parameter,
     Tape,
     Tensor,
@@ -149,11 +148,9 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None,
     """``leaky_relu(h @ w + b, slope)`` as one tape record; ``h @ w + b`` if slope is None.
 
     The forward adds the bias into the matmul's result in place and
-    rectifies it with ``autodiff._leaky``, as ``leaky_relu`` does. One
-    finiteness check after the bias add stands for the op-by-op chain's
-    two: a non-finite product stays non-finite after adding a bias, so
-    only when the check fails is the product recomputed, to name
-    ``matmul`` or ``add`` as the chain did. ``check=False`` skips it, for a
+    rectifies it with ``autodiff._leaky``, as ``leaky_relu`` does. The
+    bias add's check stands for the matmul's too, a non-finite product
+    staying non-finite after adding a bias. ``check=False`` skips it, for a
     caller that checks a later result instead (see :meth:`Backbone.embed`).
     The rectifier cannot make a finite value non-finite. Without a tape the
     result is a bare tensor. For a slope in [0, 1] the output is positive
@@ -163,32 +160,20 @@ def _dense_layer(h: Tensor, w: Tensor, b: Tensor, slope: float | None,
     slope)`` since ``g * 1.0 == g``. As in the chain, b gets its row sum,
     w gets ``h.T @`` it and h gets it ``@ w.T``.
     """
-    data = _matmul_data(h, w, check=False)
+    data = _matmul_data(h, w)
     np.add(data, b.data, out=data)
     if check:
-        try:
-            _check_finite(data, "add")
-        except NonFiniteError:
-            _check_finite(h.data @ w.data, "matmul")
-            raise
+        _check_finite(data, "add", ("matmul", lambda: h.data @ w.data))
     if slope is not None:
         data = _leaky(data, slope)
     tape = _join_tape(h, w, b)
     if tape is None:
         return Tensor(data)
-
-    memo: dict = {}
-
-    def d_sum(g):
-        # The routes below share one rectifier gradient per reverse pass.
-        if memo.get("g") is not g:
-            memo.update(g=g, d=g if slope is None else np.where(data > 0.0, g, g * slope))
-        return memo["d"]
-
     return _result(data, tape,
-                   (w, lambda g: h.data.T @ d_sum(g)),
-                   (b, lambda g: d_sum(g).sum(axis=0)),
-                   (h, lambda g: d_sum(g) @ w.data.T))
+                   (w, lambda d: h.data.T @ d),
+                   (b, lambda d: d.sum(axis=0)),
+                   (h, lambda d: d @ w.data.T),
+                   shared=lambda g: g if slope is None else np.where(data > 0.0, g, g * slope))
 
 
 class AagmmHead:
@@ -279,10 +264,10 @@ def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
     _check_width(head.latent_dim, z)
     scores = head.class_log_scores(z, tape)
     lse, shifted, total = _logsumexp_kept(scores.data, 1)
-    _check_finite(lse, "logsumexp")
     with np.errstate(all="ignore"):
         data = np.subtract(scores.data, lse)
-    _check_finite(data, "sub")
+    # The scores are finite, so lse is never -inf: a non-finite lse makes its row non-finite.
+    _check_finite(data, "sub", ("logsumexp", lambda: lse))
     softmax = shifted / total if scores.tape is not None else None
     return _result(data, scores.tape,
                    (scores, lambda g: g + _unbroadcast(-g, lse.shape) * softmax))
@@ -401,27 +386,22 @@ def _mixture_log_joint(z: Tensor, mu: Tensor, lv: Tensor) -> Tensor:
     # result is finite exactly when each step of the chain was.
     _check_finite(data, "log_joint")
 
-    memo: dict = {}
-
     def grads(g):
-        # The routes below share one computation per reverse pass. The
-        # log-variance gradient is formed here too, so the (n, K, D)
-        # residuals die with this call: kept in the memo for a later
-        # route, they made the allocator return and re-fault the step's
-        # memory, about 150 minor page faults per mom4 step.
-        if memo.get("g") is not g:
-            diff = z.data[:, None, :] - mu.data  # the forward's residuals, recomputed
-            gq = ((-g) * 0.5)[:, :, None]
-            gd = gq * inv_var * (2 * diff)
-            memo.update(g=g, z=_unbroadcast(gd, (z.shape[0], 1, d)).reshape(z.shape),
-                        mu=(-gd).sum(axis=0))
-            if lv.tape is not None:  # KMeans' pinned zeros take no gradient
-                ge = (gq * np.square(diff)).sum(axis=0)
-                memo["lv"] = ((-g.sum(axis=0)) * 0.5)[:, None] + (-(ge * inv_var))
-        return memo
+        # All three gradients are formed here, so the (n, K, D) residuals
+        # die with this call: kept longer, they made the allocator return
+        # and re-fault the step's memory, about 150 minor page faults per
+        # mom4 step.
+        diff = z.data[:, None, :] - mu.data  # the forward's residuals, recomputed
+        gq = ((-g) * 0.5)[:, :, None]
+        gd = gq * inv_var * (2 * diff)
+        d_lv = None
+        if lv.tape is not None:  # KMeans' pinned zeros take no gradient
+            ge = (gq * np.square(diff)).sum(axis=0)
+            d_lv = ((-g.sum(axis=0)) * 0.5)[:, None] + (-(ge * inv_var))
+        return _unbroadcast(gd, (z.shape[0], 1, d)).reshape(z.shape), (-gd).sum(axis=0), d_lv
 
-    return _result(data, _join_tape(z, mu, lv), (z, lambda g: grads(g)["z"]),
-                   (mu, lambda g: grads(g)["mu"]), (lv, lambda g: grads(g)["lv"]))
+    return _result(data, _join_tape(z, mu, lv), (z, lambda s: s[0]), (mu, lambda s: s[1]),
+                   (lv, lambda s: s[2]), shared=grads)
 
 
 def init_head(kind: str, n_classes: int, latent_dim: int, seed=0):

@@ -410,12 +410,13 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     row with weight 1, through its own :func:`_discrepancy`, and its
     gradient goes to ``mean_offset``. The forward then takes, order by
     order, the sum over populations, the division by the active count,
-    the product with the order's weight and the running add, with the
-    op-by-op chain's finiteness checks on the sum, product and add (a
-    finite sum divided by at least one active population stays finite,
-    so the division needs none). The reverse pass gives each order
+    the product with the order's weight and the running add, and checks
+    the product and the add. The product's check names the sum when that
+    is non-finite, as the op-by-op chain did, and a finite sum divided by
+    at least one active population stays finite, so the division needs
+    no check. The reverse pass gives each order
     ``(g * weight) / count``, spread over the populations, and passes all
-    orders through one reverse pass shared by the populations and weights.
+    orders through one reverse pass for the populations and weights.
     """
     if spec.max_order < 1:
         raise ValueError("mom_loss requires max_order >= 1")
@@ -440,9 +441,9 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
             count = float(est.active.sum())
             scales.append((lam, count))
             summed = est.per_group[i].sum()
-            _check_finite(summed, "sum")
             term = np.multiply(lam, np.divide(summed, count))
-            _check_finite(term, "mul")
+            # A non-finite sum makes the term non-finite: 0 * inf is NaN.
+            _check_finite(term, "mul", ("sum", lambda: summed))
             per_order[order] = Tensor(term)
             if total is not None:
                 term = np.add(total, term)
@@ -452,19 +453,17 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     def order_grads(g, orders, groups):
         return np.array([np.full(groups, (g * lam) / count) for lam, count in orders])
 
-    routes = []
-    if spec.max_order >= first:
-        memo: dict = {}
+    def grads(g):
+        d_pops = d_weights = d_offset = None
+        if spec.max_order >= first:
+            d_pops, d_weights = on_pops.vjp(order_grads(g, scales[first - 1:], pops.shape[1]),
+                                            weights.tape is not None)
+        if offset is not None:
+            d_offset = on_offset.vjp(order_grads(g, scales[:1], 1), False)[0].reshape(offset.shape)
+        return d_pops, d_weights, d_offset
 
-        def grads(g):
-            # The populations and weights routes share one reverse pass.
-            if memo.get("g") is not g:
-                memo.update(g=g, d=on_pops.vjp(order_grads(g, scales[first - 1:], pops.shape[1]),
-                                               weights.tape is not None))
-            return memo["d"]
-
-        routes += [(pops, lambda g: grads(g)[0]), (weights, lambda g: grads(g)[1])]
+    routes = [(pops, lambda s: s[0]), (weights, lambda s: s[1])] if spec.max_order >= first else []
     if offset is not None:
-        routes.append((offset, lambda g: on_offset.vjp(
-            order_grads(g, scales[:1], 1), False)[0].reshape(offset.shape)))
-    return _result(np.asarray(total), _join_tape(*(t for t, _ in routes)), *routes), per_order
+        routes.append((offset, lambda s: s[2]))
+    return _result(np.asarray(total), _join_tape(*(t for t, _ in routes)), *routes,
+                   shared=grads), per_order

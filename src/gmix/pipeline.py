@@ -30,7 +30,6 @@ import numpy as np
 
 from . import _blas
 from .autodiff import (
-    NonFiniteError,
     Parameter,
     Tape,
     Tensor,
@@ -236,13 +235,14 @@ def curriculum_thresholds(counts: np.ndarray, conf_threshold: float) -> np.ndarr
     """Per-class thresholds scaled by how readily each class is learned.
 
     Classes with fewer confident predictions get lower thresholds
-    (floored at 0.5) so they can catch up; with no signal yet every
-    class uses the base threshold.
+    (floored at 0.5, or at the base threshold when that is lower) so they
+    can catch up; no class is ever stricter than the base. With no signal
+    yet every class uses the base threshold.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.max() <= 0:
         return np.full(counts.shape, conf_threshold)
-    return np.maximum(0.5, conf_threshold * counts / counts.max())
+    return np.maximum(min(0.5, conf_threshold), conf_threshold * counts / counts.max())
 
 
 def _nll(log_cond: Tensor, labels: np.ndarray, n_classes: int) -> Tensor:
@@ -250,20 +250,15 @@ def _nll(log_cond: Tensor, labels: np.ndarray, n_classes: int) -> Tensor:
 
     The forward is the chain ``-(log_cond * onehot).sum(axis=1)``. A
     non-finite product leaves its row sum non-finite and negation keeps a
-    finite value finite, so the sum's check stands for all three; only
-    when it fails is the product checked, to name ``mul`` or ``sum`` as
-    the chain did. The reverse pass gives ``log_cond`` the chain's
-    gradient, ``(-g)[:, None] * onehot``.
+    finite value finite, so the sum's check stands for all three. The
+    reverse pass gives ``log_cond`` the chain's gradient, ``(-g)[:, None]
+    * onehot``.
     """
     onehot = np.eye(n_classes)[labels]
     with np.errstate(all="ignore"):
         prod = log_cond.data * onehot
     summed = prod.sum(axis=1)
-    try:
-        _check_finite(summed, "sum")
-    except NonFiniteError:
-        _check_finite(prod, "mul")
-        raise
+    _check_finite(summed, "sum", ("mul", lambda: prod))
     return _result(-summed, log_cond.tape, (log_cond, lambda g: (-g)[:, None] * onehot))
 
 

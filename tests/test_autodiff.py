@@ -280,6 +280,69 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError, match="op produced a non-finite value"):
             ad._check_finite(np.asarray(data, dtype=np.float64), "op")
 
+    @pytest.mark.parametrize("earlier, named", [
+        (np.array([1.0, math.nan]), "first"),
+        (np.array([1.0, 2.0]), "second"),
+    ], ids=["earlier-non-finite", "earlier-finite"])
+    def test_earlier_op_named_only_when_its_result_is_non_finite(self, earlier, named):
+        with pytest.raises(NonFiniteError, match=f"^{named} produced a non-finite value"):
+            ad._check_finite(np.array([math.inf]), "second", ("first", lambda: earlier))
+
+    def test_earlier_thunk_never_runs_on_a_finite_result(self):
+        def thunk():
+            raise AssertionError("the earlier result was computed")
+
+        ad._check_finite(np.array([1.0, 2.0]), "second", ("first", thunk))
+
+
+class TestSharedReverse:
+    @staticmethod
+    def record(operands, log):
+        """One record routing into each operand: ``shared`` doubles the
+        output gradient and route k scales that by k; ``log`` lists the calls."""
+        def shared(g):
+            log.append("shared")
+            return 2.0 * g
+
+        def route(k):
+            def vjp(s):
+                log.append(k)
+                return k * s
+            return vjp
+
+        return ad._result(np.zeros(2), ad._join_tape(*operands),
+                          *((t, route(k)) for k, t in enumerate(operands, start=1)),
+                          shared=shared)
+
+    def test_shared_runs_once_per_reverse_pass(self):
+        tape = Tape()
+        params = [Parameter(np.zeros(2)) for _ in range(3)]
+        log = []
+        loss = tsum(self.record([p.use(tape) for p in params], log))
+        backward(loss)
+        assert log == ["shared", 1, 2, 3]
+        for k, p in enumerate(params, start=1):
+            np.testing.assert_array_equal(p.grad, [2.0 * k, 2.0 * k])
+        backward(loss)
+        assert log == ["shared", 1, 2, 3] * 2
+
+    def test_shared_never_runs_without_an_output_gradient(self):
+        tape, p, t = taped(np.zeros(2))
+        log = []
+        self.record([t, t, t], log)
+        backward(tsum(t))
+        assert log == []
+        np.testing.assert_array_equal(p.grad, [1.0, 1.0])
+
+    def test_routes_into_constants_are_dropped(self):
+        tape, p, t = taped(np.zeros(2))
+        constants = [Tensor(np.zeros(2)), Tensor(np.zeros(2))]
+        log = []
+        backward(tsum(self.record([constants[0], t, constants[1]], log)))
+        assert log == ["shared", 2]
+        assert all(c.grad is None for c in constants)
+        np.testing.assert_array_equal(p.grad, [4.0, 4.0])
+
 
 class TestClipGlobalNorm:
     def test_three_four_five(self):

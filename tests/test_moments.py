@@ -893,6 +893,17 @@ class TestFusedMomLoss:
         with pytest.raises(NonFiniteError, match="mul produced a non-finite value"):
             mom_loss(Tensor(z), spec)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_over_populations_faults_with_the_op_named(self):
+        head = init_head("aagmm", 2, 1, seed=0)
+        head.centers.value[...] = 0.0
+        head.log_var.value[...] = 0.0
+        spec = MomentSpec(max_order=1, mode="per-cluster-soft")
+        z = np.array([[1e154], [1e154]])  # each population's discrepancy is 1e308
+        for loss in (chain_mom_loss, mom_loss):
+            with pytest.raises(NonFiniteError, match="sum produced a non-finite value"):
+                loss(Tensor(z), spec, head=head)
+
 
 class TestSpecValidation:
     def test_order_out_of_range(self):

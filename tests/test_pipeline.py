@@ -89,6 +89,10 @@ class TestCurriculumThresholds:
         out = curriculum_thresholds(np.zeros(4), 0.9)
         np.testing.assert_allclose(out, 0.9)
 
+    def test_base_below_the_floor_is_never_raised(self):
+        out = curriculum_thresholds(np.array([10, 5]), 0.3)
+        np.testing.assert_allclose(out, [0.3, 0.3])
+
 
 class TestSupervisedReduction:
     def test_matches_standalone_supervised_loop(self):
