@@ -87,6 +87,8 @@ def _cmd_moments_selftest(args) -> int:
         raise ValueError(f"--dim must be at least 1, got {args.dim}")
     if args.repeats < 2:  # the noise floor's standard deviation needs two
         raise ValueError(f"--repeats must be at least 2, got {args.repeats}")
+    if min(args.samples) < 1:
+        raise ValueError(f"--samples must be at least 1, got {min(args.samples)}")
     dim = args.dim
     ok = True
     lines = []

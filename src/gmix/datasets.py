@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
+
 DATASET_KINDS = ("warped-mixture", "two-moons", "rings")
 
 WEAK_NOISE = 0.05
@@ -138,7 +140,13 @@ def _base_points(spec: SyntheticSpec, labels: np.ndarray, rng) -> np.ndarray:
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
-    """Generate a dataset; byte-identical for identical specs."""
+    """Generate a dataset; byte-identical for identical specs.
+
+    The lift runs on the calling thread (``gmix._blas.one_thread``), so it
+    wakes no BLAS worker, and leaves the caller's BLAS thread counts as
+    they were. The count only splits the output, so the bits do not
+    depend on it.
+    """
     rng = np.random.default_rng(spec.seed)
     # The lift map is fixed per seed, drawn before any samples.
     base_dim = _base_dim(spec)
@@ -156,12 +164,13 @@ def generate(spec: SyntheticSpec) -> Dataset:
     labels = np.concatenate([labeled_y, unlabeled_y, test_y])
     features = np.empty((labels.shape[0], spec.ambient_dim))
     lo = 0
-    for y in (labeled_y, unlabeled_y, test_y):
-        rows = features[lo:lo + y.shape[0]]
-        np.matmul(_base_points(spec, y, rng), affine, out=rows)
-        rows += offset
-        np.tanh(rows, out=rows)
-        lo += y.shape[0]
+    with _blas.one_thread():
+        for y in (labeled_y, unlabeled_y, test_y):
+            rows = features[lo:lo + y.shape[0]]
+            np.matmul(_base_points(spec, y, rng), affine, out=rows)
+            rows += offset
+            np.tanh(rows, out=rows)
+            lo += y.shape[0]
 
     # The scale and the outlier radius come from the clean training rows,
     # read before any outlier is written over them.

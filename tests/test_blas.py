@@ -1,4 +1,4 @@
-"""pipeline.run sets numpy's BLAS to one thread when a step gains nothing from more."""
+"""pipeline.run and the dataset lift keep numpy's BLAS on one thread where it gains nothing."""
 
 import json
 import os
@@ -16,7 +16,7 @@ from gmix.pipeline import _largest_step_product
 # Reads the thread count through the own getter of every mapped BLAS library
 # that has one: before and after `import gmix`, and after each `pipeline.run`
 # of RUNS. Prints one JSON line; empty lists when no library has a getter.
-PROBE = """
+GETTERS = """
 import ctypes, json, os, sys
 import numpy
 
@@ -35,7 +35,8 @@ def getters():
 
 gets = getters()
 counts = {"before": [g() for g in gets]}
-import gmix.config, gmix.pipeline
+"""
+PROBE = GETTERS + """import gmix.config, gmix.pipeline
 counts["imported"] = [g() for g in gets]
 counts["runs"] = []
 for extra in json.loads(sys.argv[1]):
@@ -45,15 +46,29 @@ for extra in json.loads(sys.argv[1]):
 print(json.dumps(counts))
 """
 
+# Reads the counts at each numpy.matmul call of a default `generate`, and
+# after it. The default spec's 8,000-row lift is above the one-thread limit.
+LIFT_PROBE = GETTERS + """import gmix.datasets
+matmul = numpy.matmul
+counts["lift"] = []
+def reading_matmul(*args, **kwargs):
+    counts["lift"].append([g() for g in gets])
+    return matmul(*args, **kwargs)
+numpy.matmul = reading_matmul
+gmix.datasets.generate(gmix.datasets.SyntheticSpec())
+counts["after"] = [g() for g in gets]
+print(json.dumps(counts))
+"""
+
 # 224×64×64 layer products, above OpenBLAS's one-thread limit; a step of
 # this config was 24 % slower on one thread than on two.
 LARGE_BATCH = "ssl.labeled_batch = 32\n"
 
 
-def probe(runs: list[str]) -> dict:
+def probe(runs: list[str], script: str = PROBE) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(gmix.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "2"}
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     counts = json.loads(proc.stdout)
     if not counts["before"]:
@@ -79,6 +94,13 @@ def test_run_whose_step_products_split_puts_the_count_back():
     assert counts["runs"] == [one, counts["before"], one], counts
 
 
+@needs_maps
+def test_lift_runs_on_one_thread_and_puts_the_count_back():
+    counts = probe([], LIFT_PROBE)
+    assert counts["lift"] == [[1] * len(counts["before"])] * 3, counts
+    assert counts["after"] == counts["before"], counts
+
+
 def test_step_product_limit_falls_between_the_default_and_a_32_row_batch():
     small, spec, _ = parse_config_text("", source="<default>")
     large, _, _ = parse_config_text(LARGE_BATCH, source="<large>")
@@ -94,10 +116,10 @@ def test_step_product_of_a_moment_bound_config_is_the_moment_reverse_matmul():
 
 
 class FakeLibrary:
-    """An OpenBLAS stand-in whose thread count starts at 4; named by its path."""
+    """An OpenBLAS stand-in at ``count`` threads; named by its path."""
 
-    def __init__(self, path):
-        self.count = 4
+    def __init__(self, path, count=4):
+        self.count = count
         self.sets = 0
         if path != "cblas-without-setter.so":
             prefix = "openblas" if path == "other-blas.so" else "scipy_openblas"
@@ -110,26 +132,61 @@ class FakeLibrary:
         self.sets += 1
 
 
+def fake_libraries(monkeypatch, counts: dict[str, int]) -> dict[str, FakeLibrary]:
+    """Map the fakes in place of the real libraries, resolved afresh."""
+    libs = {p: FakeLibrary(p, c) for p, c in counts.items()}
+    monkeypatch.setattr(_blas, "_blas_libraries", lambda: list(libs))
+    monkeypatch.setattr(_blas.ctypes, "CDLL", libs.__getitem__)
+    monkeypatch.setattr(_blas, "_LIBRARIES", None)
+    return libs
+
+
 def test_every_library_with_a_setter_is_set_and_put_back(monkeypatch):
     # Maps list libraries by address: a second OpenBLAS may come before numpy's.
-    paths = ["other-blas.so", "cblas-without-setter.so", "numpy-blas.so"]
-    libs = {p: FakeLibrary(p) for p in paths}
-    monkeypatch.setattr(_blas, "_blas_libraries", lambda: paths)
-    monkeypatch.setattr(_blas.ctypes, "CDLL", libs.__getitem__)
-    monkeypatch.setattr(_blas, "_FIRST_COUNT", {})
-    assert _blas.limit_threads(one=False)  # nothing set yet: nothing to put back
-    assert [(libs[p].count, libs[p].sets) for p in paths] == [(4, 0)] * 3
-    assert _blas.limit_threads(one=True)
-    assert _blas.limit_threads(one=True)
-    assert [(libs[p].count, libs[p].sets) for p in paths] == [(1, 1), (4, 0), (1, 1)]
-    assert _blas.limit_threads(one=False)
-    assert [libs[p].count for p in paths] == [4, 4, 4]
+    libs = fake_libraries(monkeypatch, dict.fromkeys(
+        ["other-blas.so", "cblas-without-setter.so", "numpy-blas.so"], 4))
+    _blas.limit_threads(one=False)  # nothing set yet: nothing to put back
+    assert [(lib.count, lib.sets) for lib in libs.values()] == [(4, 0)] * 3
+    _blas.limit_threads(one=True)
+    _blas.limit_threads(one=True)
+    assert [(lib.count, lib.sets) for lib in libs.values()] == [(1, 1), (4, 0), (1, 1)]
+    _blas.limit_threads(one=False)
+    assert [lib.count for lib in libs.values()] == [4, 4, 4]
+
+
+def test_scope_sets_one_thread_and_puts_each_entry_count_back(monkeypatch):
+    libs = fake_libraries(monkeypatch, {"other-blas.so": 4, "cblas-without-setter.so": 4,
+                                        "numpy-blas.so": 1})
+    libs["other-blas.so"].count = 3  # the count on entry, not the first one, comes back
+    with _blas.one_thread():
+        assert [lib.count for lib in libs.values()] == [1, 4, 1]
+    assert [lib.count for lib in libs.values()] == [3, 4, 1]
+    with pytest.raises(RuntimeError, match="body"):
+        with _blas.one_thread():
+            assert [lib.count for lib in libs.values()] == [1, 4, 1]
+            raise RuntimeError("body")
+    assert [(lib.count, lib.sets) for lib in libs.values()] == [(3, 4), (4, 0), (1, 0)]
+
+
+def test_libraries_are_resolved_once(monkeypatch):
+    fake_libraries(monkeypatch, {"numpy-blas.so": 4})
+    calls = []
+    monkeypatch.setattr(_blas, "_blas_libraries", lambda: calls.append(1) or ["numpy-blas.so"])
+    for one in (True, False):
+        _blas.limit_threads(one=one)
+        with _blas.one_thread():
+            pass
+    assert calls == [1]
 
 
 def test_no_setter_does_nothing(monkeypatch):
     monkeypatch.setattr(_blas, "_blas_libraries", lambda: ["a-blas.so"])
     monkeypatch.setattr(_blas.ctypes, "CDLL", lambda path: object())
-    assert not _blas.limit_threads(one=True)
+    monkeypatch.setattr(_blas, "_LIBRARIES", None)
+    _blas.limit_threads(one=True)
+    with _blas.one_thread():
+        pass
+    assert _blas._libraries() == []
 
 
 def test_without_proc_maps_the_bundled_library_is_found(monkeypatch):
@@ -140,6 +197,9 @@ def test_without_proc_maps_the_bundled_library_is_found(monkeypatch):
     def no_maps(path, *args, **kwargs):
         raise OSError(f"no {path}")
     monkeypatch.setattr(_blas, "open", no_maps, raising=False)
-    monkeypatch.setattr(_blas, "_FIRST_COUNT", {})
+    monkeypatch.setattr(_blas, "_LIBRARIES", None)
     assert _blas._blas_libraries() == [str(p) for p in sorted(bundled.glob("*blas*"))]
-    assert _blas.limit_threads(one=True)
+    libraries = _blas._libraries()
+    assert libraries
+    with _blas.one_thread():
+        assert [get() for get, _, _ in libraries] == [1] * len(libraries)

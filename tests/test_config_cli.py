@@ -242,6 +242,8 @@ class TestCli:
         (["--max-order", "0"], "error: --max-order must be in 1..4"),
         (["--dim", "0"], "error: --dim must be at least 1"),
         (["--repeats", "1"], "error: --repeats must be at least 2"),
+        (["--samples", "0"], "error: --samples must be at least 1, got 0"),
+        (["--samples", "-5"], "error: --samples must be at least 1, got -5"),
     ])
     def test_moments_selftest_rejects_out_of_range(self, capsys, args, message):
         code = main(["moments-selftest", "--samples", "20", *args])
