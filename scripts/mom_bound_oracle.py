@@ -45,13 +45,13 @@ def direct_loss(z: np.ndarray, order_weights=(1.0, 0.5)) -> float:
     return order_weights[0] * term1 + order_weights[1] * term2
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=50_000)
     ap.add_argument("--dim", type=int, default=8)
     ap.add_argument("--repeats", type=int, default=20)
     ap.add_argument("--seed0", type=int, default=1000)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     losses = []
     for r in range(args.repeats):

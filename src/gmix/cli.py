@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .checkpoint import load_model
-from .config import ConfigError, config_hash, parse_config, parse_config_text
+from .config import ConfigError, config_hash, parse_config
 from .datasets import generate
 from .fileio import atomic_write
 from .gradcheck import format_table, run_suite
@@ -73,7 +73,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    rows = run_suite(quick=args.quick)
+    rows = run_suite()
     print(format_table(rows))
     failed = [r for r in rows if not r.passed]
     print(f"\n{len(rows) - len(failed)}/{len(rows)} checks passed")
@@ -184,8 +184,6 @@ def _worker_signals() -> None:
 def _cmd_sweep(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    with open(args.config) as f:
-        base_text = f.read()
     grids = {}
     for spec in args.grid:
         key, _, values = spec.partition("=")
@@ -199,8 +197,7 @@ def _cmd_sweep(args) -> int:
     # Every combo is parsed before any run starts: a bad grid value ends
     # the sweep with one error line and no run directory.
     out_root = str(_out_root(args.out_root))
-    tasks = [(*parse_config_text(base_text, str(args.config), combo), out_root)
-             for combo in combos]
+    tasks = [(*parse_config(args.config, combo), out_root) for combo in combos]
     # Two combos with one effective config would train into one run directory.
     labels = [" ".join(f"{k}={v}" for k, v in combo) or "(base)" for combo in combos]
     first = {}
@@ -245,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--quick", action="store_true", help="reduced moment grid")
     p.set_defaults(fn=_cmd_gradcheck)
 
     p = sub.add_parser("moments-selftest", help="moment combinatorics and noise floors")

@@ -6,7 +6,8 @@ offending line number, and constraint violations with the file name. A
 sweep's grid values replace the file's, and their errors name the
 ``--grid`` key instead. Absent keys take their defaults, and the fully
 resolved configuration is echoed into the run manifest, whose flat form is
-hashed to name output directories.
+hashed to name output directories. A config file is UTF-8 whatever the
+locale; one that is not names its first bad byte's offset.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
+from pathlib import Path
 from typing import Callable
 
 from .datasets import DATASET_KINDS, SyntheticSpec
@@ -199,10 +201,14 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()):
     return run_config, data_spec, flatten_config(run_config, data_spec)
 
 
-def parse_config(path):
-    with open(path) as f:
-        text = f.read()
-    return parse_config_text(text, source=str(path))
+def parse_config(path, overrides=()):
+    """Parse a config file, read as UTF-8 whatever the locale; see :func:`parse_config_text`."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
+                          f"at offset {e.start}") from None
+    return parse_config_text(text, str(path), overrides)
 
 
 def flatten_config(config: RunConfig, data_spec: SyntheticSpec) -> dict[str, str]:

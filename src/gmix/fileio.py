@@ -18,7 +18,11 @@ def atomic_write(path, mode: str = "w"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as f:
+        f = open(tmp, mode)
+    except OSError as e:  # name the file asked for, not the temporary one
+        raise type(e)(e.errno, e.strerror, str(path)) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -100,7 +100,7 @@ def _head_rows(rng) -> list[CheckRow]:
         def fn(head=head, z=z, labels=labels):
             # The negative log-likelihood record the training step takes.
             tape = Tape()
-            return _nll(log_conditional(head, z.use(tape), tape), labels, 3).mean()
+            return _nll(log_conditional(head, z.use(tape)), labels, 3).mean()
 
         for param, tag in [(z, "z")] + [
             (p, p.name.split(".")[-1]) for p in head.parameters()
@@ -111,14 +111,12 @@ def _head_rows(rng) -> list[CheckRow]:
     return rows
 
 
-def _moment_rows(rng, quick: bool = False) -> list[CheckRow]:
+def _moment_rows(rng) -> list[CheckRow]:
     rows = []
-    dims = (4,) if quick else (2, 4, 6)
-    orders = (2,) if quick else (1, 2, 3, 4)
-    for dim in dims:
+    for dim in (2, 4, 6):
         head = init_head("aagmm", 3, dim, seed=7)
         z = Parameter(rng.uniform(-2, 2, (8, dim)))
-        for order in orders:
+        for order in (1, 2, 3, 4):
             for mode in ("global", "per-cluster-soft"):
                 spec = MomentSpec(max_order=order, mode=mode)
                 params = [z] if mode == "global" else [z, head.centers, head.log_var]
@@ -135,13 +133,13 @@ def _moment_rows(rng, quick: bool = False) -> list[CheckRow]:
     return rows
 
 
-def run_suite(quick: bool = False) -> list[CheckRow]:
-    """All gradient checks; ``quick`` trims the moment grid for smoke tests."""
+def run_suite() -> list[CheckRow]:
+    """All gradient checks."""
     rng = np.random.default_rng(SEED)
     rows = _op_rows(rng)
     rows.append(_backbone_row(rng))
     rows.extend(_head_rows(rng))
-    rows.extend(_moment_rows(rng, quick=quick))
+    rows.extend(_moment_rows(rng))
     return rows
 
 

@@ -10,6 +10,11 @@ per-class log joint for a mixture head, the logits for the linear head.
 With uniform weights 1/K, the mixture's log density of a sample is
 ``logsumexp(class_log_scores, axis=1) - log K``.
 
+A head takes no tape: ``class_log_scores``, :func:`log_conditional` and
+:func:`conditional` record on the tape of the embeddings they score,
+taking each head parameter's leaf on ``z.tape``. A taped z gives the head
+its gradient from every loss that scores it; an untaped z records nothing.
+
 KMeans is the AAGMM head with its log variances pinned at an untaped
 constant 0: exp(-0.0) = 1.0, x * 1.0 = x and x - 0.0 = x, so its values
 are the unit-variance formula's bit for bit. A KMeans training step
@@ -76,7 +81,7 @@ class Backbone:
     down to the latent dimension.
     """
 
-    def __init__(self, ambient_dim: int, latent_dim: int = 8, seed=0) -> None:
+    def __init__(self, ambient_dim: int, latent_dim: int, seed) -> None:
         rng = np.random.default_rng(seed)
         widths = (ambient_dim, *HIDDEN_WIDTHS, latent_dim)
         self.weights: list[Parameter] = []
@@ -205,8 +210,8 @@ class AagmmHead:
     def variances(self) -> np.ndarray:
         return np.exp(self.log_variances().data)
 
-    def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        return _mixture_log_joint(z, self.centers.use(tape), self.log_variances(tape))
+    def class_log_scores(self, z: Tensor) -> Tensor:
+        return _mixture_log_joint(z, self.centers.use(z.tape), self.log_variances(z.tape))
 
 
 class KmeansHead(AagmmHead):
@@ -225,8 +230,8 @@ class KmeansHead(AagmmHead):
     def log_variances(self, tape: Tape | None = None) -> Tensor:
         return self._log_var
 
-    def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        return _mixture_log_joint(z, self.centers.use(tape), self.log_variances(tape))
+    def class_log_scores(self, z: Tensor) -> Tensor:
+        return _mixture_log_joint(z, self.centers.use(z.tape), self.log_variances(z.tape))
 
 
 class LinearSoftmaxHead:
@@ -245,11 +250,11 @@ class LinearSoftmaxHead:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def class_log_scores(self, z: Tensor, tape: Tape | None = None) -> Tensor:
-        return _dense_layer(z, self.weight.use(tape), self.bias.use(tape), None)
+    def class_log_scores(self, z: Tensor) -> Tensor:
+        return _dense_layer(z, self.weight.use(z.tape), self.bias.use(z.tape), None)
 
 
-def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
+def log_conditional(head, z) -> Tensor:
     """Row-normalized class log probabilities, shape (n, K).
 
     One tape record past the class scores: the chain ``scores -
@@ -262,7 +267,7 @@ def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
     """
     z = z if isinstance(z, Tensor) else Tensor(z)
     _check_width(head.latent_dim, z)
-    scores = head.class_log_scores(z, tape)
+    scores = head.class_log_scores(z)
     lse, shifted, total = _logsumexp_kept(scores.data, 1)
     with np.errstate(all="ignore"):
         data = np.subtract(scores.data, lse)
@@ -273,9 +278,9 @@ def log_conditional(head, z, tape: Tape | None = None) -> Tensor:
                    (scores, lambda g: g + _unbroadcast(-g, lse.shape) * softmax))
 
 
-def conditional(head, z, tape: Tape | None = None) -> Tensor:
+def conditional(head, z) -> Tensor:
     """Class probabilities, each row summing to 1."""
-    return exp(log_conditional(head, z, tape))
+    return exp(log_conditional(head, z))
 
 
 def _check_width(width: int, z) -> None:

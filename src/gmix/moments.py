@@ -70,7 +70,7 @@ class MomentSpec:
     ``max_order`` of P constrains all orders 1..P; 0 disables the loss.
     """
 
-    max_order: int = 0
+    max_order: int = 1
     order_weights: tuple[float, float, float, float] = DEFAULT_ORDER_WEIGHTS
     mode: str = "per-cluster-soft"
 
@@ -138,33 +138,21 @@ def target_moment(indices: tuple[int, ...]) -> float:
     return out
 
 
-@dataclass
-class CentralizedBatch:
-    """Sub-populations prepared for moment estimation.
+def centralize(z, mode: str, head=None, sample_mask=None):
+    """Center samples for moment estimation: ``(populations, weights, mean_offset)``.
 
-    ``populations`` has shape (n, G, dim): G is 1 in global mode, K in
-    per-cluster mode. ``weights`` (n, G) are per-sample weights: the
-    sample mask in global mode, the masked responsibilities in
-    per-cluster mode. ``mean_offset`` is the batch mean removed
-    in global mode; the first-order loss measures this offset against
-    the target mean of zero, since the centered data's own first moment
-    vanishes identically.
-    """
-
-    populations: Tensor
-    weights: Tensor
-    mean_offset: Tensor | None
-
-
-def centralize(z, mode: str, head=None, sample_mask=None) -> CentralizedBatch:
-    """Center samples for moment estimation.
-
-    global: subtract the masked batch mean; the mask is the weights. In
-    per-cluster-soft mode each cluster k yields the standardized
-    residuals (z - mu_k) / sigma_k weighted by the sample's conditional
-    responsibility for k; gradients flow through the responsibilities.
-    ``sample_mask`` zeroes out the weight of excluded samples; None keeps
-    every sample. ``head`` is read only in per-cluster-soft mode.
+    ``populations`` has shape (n, G, dim), G being 1 in global mode and K
+    in per-cluster-soft mode; ``weights`` (n, G) are the per-sample
+    weights. global: subtract the masked batch mean; the weights are the
+    sample mask, and ``mean_offset`` is the removed mean, (dim,), which
+    the first-order loss measures against the target mean of zero, the
+    centered data's own first moment vanishing identically. In
+    per-cluster-soft mode each cluster k yields the standardized residuals
+    (z - mu_k) / sigma_k, weighted by the sample's masked conditional
+    responsibility for k, and ``mean_offset`` is None; gradients flow
+    through the responsibilities. ``sample_mask`` zeroes out the weight of
+    excluded samples; None keeps every sample. ``head`` is read only in
+    per-cluster-soft mode, on the tape z carries.
     """
     from .heads import conditional  # head types live one module up
 
@@ -180,17 +168,14 @@ def centralize(z, mode: str, head=None, sample_mask=None) -> CentralizedBatch:
     weights = Tensor(mask[:, None])
     if mode == "global":
         mean = tsum(z * weights, axis=0) / float(mask.sum())
-        pops = reshape(z - mean, (n, 1, dim))
-        return CentralizedBatch(pops, weights, mean)
+        return reshape(z - mean, (n, 1, dim)), weights, mean
     if mode == "per-cluster-soft":
         if head is None or not getattr(head, "generative", False):
             raise ValueError("per-cluster-soft centralization requires a mixture head")
-        tape = z.tape
-        resp = conditional(head, z, tape) * weights
-        mu = head.centers.use(tape)
-        inv_sigma = exp(-0.5 * head.log_variances(tape))
-        pops = (reshape(z, (n, 1, dim)) - mu) * inv_sigma
-        return CentralizedBatch(pops, resp, None)
+        resp = conditional(head, z) * weights
+        mu = head.centers.use(z.tape)
+        inv_sigma = exp(-0.5 * head.log_variances(z.tape))
+        return (reshape(z, (n, 1, dim)) - mu) * inv_sigma, resp, None
     raise ValueError(f"unknown centralization mode {mode!r}")
 
 
@@ -420,8 +405,7 @@ def mom_loss(z, spec: MomentSpec, head=None, sample_mask=None):
     """
     if spec.max_order < 1:
         raise ValueError("mom_loss requires max_order >= 1")
-    batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
-    pops, weights, offset = batch.populations, batch.weights, batch.mean_offset
+    pops, weights, offset = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
     first = 1 if offset is None else 2
     order_rows = []  # (discrepancy, row) of each order, lowest first
     if offset is not None:

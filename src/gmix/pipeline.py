@@ -87,7 +87,7 @@ class RunConfig:
     ema_decay: float = 0.0
     head_kind: str = "aagmm"
     latent_dim: int = 8
-    moments: MomentSpec = field(default_factory=lambda: MomentSpec(max_order=1))
+    moments: MomentSpec = field(default_factory=MomentSpec)
     mom_view: str = "weak"
     gate: GateConfig = field(default_factory=GateConfig)
 
@@ -131,8 +131,7 @@ class RunConfig:
 class SgdMomentum:
     """Plain SGD with momentum; weight decay is folded into the gradient."""
 
-    def __init__(self, params, lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0) -> None:
+    def __init__(self, params, lr: float, momentum: float, weight_decay: float) -> None:
         self.params: list[Parameter] = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -271,7 +270,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
 
     xl, yl = labeled
     zl = state.backbone.embed(Tensor(xl), tape)
-    loss_sup = _nll(log_conditional(state.head, zl, tape), yl, n_classes).mean()
+    loss_sup = _nll(log_conditional(state.head, zl), yl, n_classes).mean()
     stats.loss_sup = loss_sup.item()
     loss_total = loss_sup
 
@@ -297,7 +296,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
         zs = None
         if config.lambda_u > 0:
             zs = state.backbone.embed(Tensor(unlabeled.strong), tape)
-            nll_u = _nll(log_conditional(state.head, zs, tape), labels_u, n_classes)
+            nll_u = _nll(log_conditional(state.head, zs), labels_u, n_classes)
             loss_unsup = tsum(nll_u * Tensor(kept.astype(np.float64))) / m
             stats.loss_unsup = loss_unsup.item()
             loss_total = loss_total + config.lambda_u * loss_unsup

@@ -2,8 +2,8 @@
 
 The SSL criteria train twenty full 4000-step runs and dominate the
 suite's runtime; runs execute two at a time in worker processes. The
-when-frozen constants (the Monte-Carlo loss bound) come from
-scripts/mom_bound_oracle.py.
+frozen Monte-Carlo loss bound comes from scripts/mom_bound_oracle.py;
+tests/test_moments.py holds it and checks it against that script.
 """
 
 import itertools
@@ -30,11 +30,7 @@ from gmix.outlier import fit_threshold, mask, nearest_rank_percentile
 from gmix.pipeline import GateConfig, RunConfig, run
 from test_heads import sigmoid_equivalence_params
 from test_metrics import outlier_pr
-from test_moments import class_weight, moment_targets, weight_tensor
-
-# Frozen from scripts/mom_bound_oracle.py (20 repeats, n=50000, dim=8,
-# orders 1-2, global mode): mean 4.978e-05, sd 1.332e-05.
-MOM_LOSS_BOUND = 1.0307e-04
+from test_moments import MOM_LOSS_BOUND, class_weight, moment_targets, weight_tensor
 
 # Shared settings for the desk-scale SSL comparison (criteria 5 and 6).
 SSL_SEEDS = (0, 1, 2, 3, 4)

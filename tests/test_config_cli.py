@@ -212,8 +212,8 @@ class TestCli:
             main(["transmogrify"])
         assert exc.value.code == 2
 
-    def test_gradcheck_quick_passes(self, capsys):
-        assert main(["gradcheck", "--quick"]) == 0
+    def test_gradcheck_passes(self, capsys):
+        assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
@@ -572,6 +572,19 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"config error: {config_path}:13: duplicate key 'run.steps' (first set on line 3)\n"
+        )
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "run.seed=0,1"]],
+                             ids=["train", "sweep"])
+    def test_config_that_is_not_utf8_names_the_file_and_offset(self, tmp_path, capsys, command):
+        config_path = tmp_path / "c.cfg"
+        config_path.write_bytes(b"run.steps = 2\n# caf\xe9\n")  # a Latin-1 comment
+        out_root = tmp_path / "runs"
+        code = main([command[0], str(config_path), *command[1:], "--out-root", str(out_root)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: {config_path}: not UTF-8: byte 0xe9 at offset 19\n"
         )
         assert not out_root.exists()
 

@@ -2,7 +2,9 @@
 part-way leaves neither a partial file nor a temporary one, and a file
 already at the path keeps its old bytes."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -122,3 +124,15 @@ class TestExportEmbeddings:
         assert cli.main(args) == 1
         assert tsv.read_bytes() == before
         assert listing(tmp_path) == ["emb.tsv", "run", "run.cfg"]
+
+    def test_unwritable_out_names_the_requested_path(self, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("run.steps = 2\nrun.eval_every = 1\n")
+        config, spec, _ = parse_config_text(config_path.read_text())
+        pipeline.run(config, spec, out_dir=tmp_path / "run")
+        out = tmp_path / "missing" / "x.tsv"
+        assert cli.main(["export-embeddings", str(config_path), "--checkpoint",
+                         str(tmp_path / "run" / "checkpoint.bin"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+        )

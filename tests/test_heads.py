@@ -58,15 +58,15 @@ def sigmoid_equivalence_params(mu_a: float, mu_b: float, sigma: float) -> tuple[
     return m, b
 
 
-def chain_log_joint(head, z, tape=None):
+def chain_log_joint(head, z):
     """The op-by-op log joint the fused primitive replaced: the reference."""
     n, d = z.shape[0], head.latent_dim
-    mu = head.centers.use(tape)
+    mu = head.centers.use(z.tape)
     if head.kind == "kmeans":
         diff = reshape(z, (n, 1, d)) - mu
         quad = tsum(powi(diff, 2), axis=2)
         return (-0.5 * d * LOG_2PI) - 0.5 * quad
-    lv = head.log_var.use(tape)
+    lv = head.log_var.use(z.tape)
     diff = reshape(z, (n, 1, d)) - mu
     quad = tsum(powi(diff, 2) * exp(-lv), axis=2)
     log_det = tsum(lv, axis=1)
@@ -210,7 +210,7 @@ class TestHeadIdentities:
             head.centers.zero_grad()
             zp = Parameter(z)
             tape = Tape()
-            lc = log_conditional(head, zp.use(tape), tape)
+            lc = log_conditional(head, zp.use(tape))
             backward(tsum(lc * Tensor(weights)))
             return lc.data, zp.grad, head.centers.grad.copy()
 
@@ -302,7 +302,7 @@ class TestGradients:
 
         def fn():
             tape = Tape()
-            lc = log_conditional(head, z.use(tape), tape)
+            lc = log_conditional(head, z.use(tape))
             return -(tsum(lc * Tensor(onehot), axis=1)).mean()
 
         params = [head.centers, head.log_var, z]
@@ -316,10 +316,23 @@ class TestGradients:
 
         def fn():
             tape = Tape()
-            lc = log_conditional(head, z.use(tape), tape)
+            lc = log_conditional(head, z.use(tape))
             return -(tsum(lc * Tensor(onehot), axis=1)).mean()
 
         assert finite_diff_check(fn, [head.centers, z]) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["aagmm", "kmeans", "linear"])
+    @pytest.mark.parametrize("score", [log_conditional, lambda head, z: head.class_log_scores(z)],
+                             ids=["log_conditional", "class_log_scores"])
+    def test_taped_embeddings_train_every_head_parameter(self, kind, score, rng):
+        # The head records on the tape z carries, so scoring a taped z
+        # cannot leave the head out of the gradient.
+        head = init_head(kind, 3, 4, seed=5)
+        z = Parameter(rng.normal(size=(6, 4)))
+        tape = Tape()
+        backward(tsum(score(head, z.use(tape)) * Tensor(rng.normal(size=(6, 3)))))
+        for p in [z, *head.parameters()]:
+            assert np.any(p.grad != 0.0), p.name
 
 
 def bits(a):
@@ -371,7 +384,7 @@ class TestFusedLogJoint:
             p.zero_grad()
         z = Parameter(z_value)
         tape = Tape()
-        lj = log_joint_fn(head, z.use(tape), tape)
+        lj = log_joint_fn(head, z.use(tape))
         loss = tsum(lj * Tensor(weights)) + tsum(logsumexp(lj, axis=1))
         backward(loss)
         return [lj.data, z.grad, *(p.grad.copy() for p in head.parameters())]
@@ -383,7 +396,7 @@ class TestFusedLogJoint:
         for n in self.row_counts(classes, self.DIM):
             z = rng.normal(scale=2.0, size=(n, self.DIM))
             w = rng.normal(size=(n, classes))
-            fused = self.taped_grads(head, z, w, lambda h, t, tape: h.class_log_scores(t, tape))
+            fused = self.taped_grads(head, z, w, lambda h, t: h.class_log_scores(t))
             chain = self.taped_grads(head, z, w, chain_log_joint)
             assert len(fused) == (4 if kind == "aagmm" else 3)
             for a, b in zip(fused, chain):
@@ -396,7 +409,7 @@ class TestFusedLogJoint:
     def test_one_tape_record_besides_the_leaves(self, kind, records):
         head = self.head(kind, 1)
         tape = Tape()
-        head.class_log_scores(Tensor(np.zeros((2, self.DIM)), tape), tape)
+        head.class_log_scores(Tensor(np.zeros((2, self.DIM)), tape))
         assert len(tape) == records
 
     @pytest.mark.parametrize("n", [0, 3])
@@ -511,9 +524,9 @@ class TestFusedDense:
             Backbone(16, 8, seed=0).embed(np.zeros((2, 15)))
 
 
-def chain_log_conditional(head, z, tape=None):
+def chain_log_conditional(head, z):
     """The two-record log conditional the fused one replaced."""
-    scores = head.class_log_scores(z, tape)
+    scores = head.class_log_scores(z)
     return scores - logsumexp(scores, axis=1, keepdims=True)
 
 
@@ -550,7 +563,7 @@ class TestFusedLogConditional:
                 p.zero_grad()
             z = Parameter(z_value)
             tape = Tape()
-            lc = fn(head, z.use(tape), tape)
+            lc = fn(head, z.use(tape))
             backward(tsum(lc * Tensor(w)))
             results.append([lc.data, z.grad, *(p.grad.copy() for p in head.parameters())])
         for a, b in zip(*results):
@@ -581,19 +594,19 @@ class TestFusedLogConditional:
         class FixedScores:
             latent_dim = 1
 
-            def class_log_scores(self, z, tape=None):
-                return p.use(tape)
+            def class_log_scores(self, z):
+                return p.use(z.tape)
 
         p.zero_grad()
         tape = Tape()
-        lc = log_conditional(FixedScores(), Tensor(np.zeros((40, 1))), tape)
+        lc = log_conditional(FixedScores(), Tensor(np.zeros((40, 1)), tape))
         backward(tsum(lc * Tensor(w)))
         assert bits(lc.data) == bits(x - lse)
         assert bits(p.grad) == bits(w + (-w).sum(axis=1, keepdims=True) * softmax)
 
     def test_one_record_past_the_scores(self):
         tape = Tape()
-        log_conditional(self.head("aagmm", 4), Tensor(np.zeros((2, 3)), tape), tape)
+        log_conditional(self.head("aagmm", 4), Tensor(np.zeros((2, 3)), tape))
         assert len(tape) == 4  # centers leaf, log_var leaf, log joint, log conditional
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

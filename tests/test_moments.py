@@ -4,10 +4,13 @@ against naive nested-loop oracles in both centralization modes, and the
 multiset primitive against the dense outer-product chain it replaced."""
 
 import functools
+import importlib.util
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,14 @@ from gmix.moments import (
     stacked_multisets,
     target_moment,
 )
+
+
+ORACLE = Path(__file__).resolve().parents[1] / "scripts" / "mom_bound_oracle.py"
+
+# The acceptance suite's noise-floor bound on the global order-1..2 loss of
+# 50,000 standard-normal rows at D = 8, frozen from the oracle script's
+# defaults (20 repeats): mean 4.978e-05, sd 1.332e-05, bound mean + 4 sd.
+MOM_LOSS_BOUND = 1.0307e-04
 
 
 # The dense oracle: the target and weight tensors over all dim**order
@@ -315,18 +326,15 @@ def dense_population_moments(pops, weights, order):
 
 def dense_mom_loss(z, spec, head=None, sample_mask=None):
     """Reference: mom_loss over the dense tensors, weighted by weight_tensor."""
-    batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
+    pops, weights, m1 = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
     per_order = {}
     total = None
     for order in range(1, spec.max_order + 1):
         if spec.mode == "global" and order == 1:
-            m1 = batch.mean_offset
             term = tsum(powi(m1, 2) * Tensor(weight_tensor(1, m1.shape[0])))
         else:
-            moments, active = dense_population_moments(
-                batch.populations, batch.weights, order
-            )
-            dim = batch.populations.shape[2]
+            moments, active = dense_population_moments(pops, weights, order)
+            dim = pops.shape[2]
             sq = powi(moments - Tensor(moment_targets(order, dim)), 2)
             per_group = tsum(sq * Tensor(weight_tensor(order, dim)),
                              axis=tuple(range(1, order + 1)))
@@ -361,11 +369,10 @@ def chain_mom_loss(z, spec, head=None, sample_mask=None):
     active count, a product with the order's weight and the running add,
     one record each.
     """
-    batch = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
-    pops, weights = batch.populations, batch.weights
+    pops, weights, offset = centralize(z, spec.mode, head=head, sample_mask=sample_mask)
     rows = []  # (per_group, active, row) of each order, lowest first
     if spec.mode == "global":
-        offset = reshape(batch.mean_offset, (1, 1, pops.shape[2]))
+        offset = reshape(offset, (1, 1, pops.shape[2]))
         rows.append((*moment_discrepancy(offset, None, 1, 1), 0))
     first = len(rows) + 1
     if spec.max_order >= first:
@@ -441,20 +448,50 @@ class TestPerOrderTerms:
         assert loud[2].item() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.fixture
+def oracle(monkeypatch):
+    """scripts/mom_bound_oracle.py, imported by path without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("mom_bound_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNoiseFloorOracle:
+    """The script the frozen ``MOM_LOSS_BOUND`` came from still gives it."""
+
+    @pytest.mark.parametrize("shape", [(2, 1), (40, 3), (500, 8)])
+    def test_direct_loss_equals_the_global_mom_loss(self, oracle, shape):
+        z = np.random.default_rng(sum(shape)).standard_normal(shape) * 1.3 + 0.2
+        total, _ = mom_loss(Tensor(z), MomentSpec(max_order=2, mode="global"))
+        assert_rel_close(total.item(), oracle.direct_loss(z), 1e-12)
+
+    def test_defaults_give_the_frozen_bound(self, oracle, capsys):
+        oracle.main([])
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("bound(mean+4sd)=")]
+        bound = float(line.partition("=")[2])
+        assert f"{bound:.4e}" == f"{MOM_LOSS_BOUND:.4e}"
+
+
 class TestCentralize:
     def test_global_mean_is_zero(self, rng):
         z = rng.normal(loc=3.0, size=(25, 4))
-        batch = centralize(z, "global")
-        np.testing.assert_allclose(batch.populations.data.mean(axis=0), 0.0, atol=1e-12)
+        pops, weights, offset = centralize(z, "global")
+        assert pops.shape == (25, 1, 4) and weights.shape == (25, 1)
+        np.testing.assert_allclose(pops.data.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(offset.data, z.mean(axis=0), atol=1e-12)
 
     def test_single_cluster_reduction(self, rng):
         head = init_head("aagmm", 1, 3, seed=0)
         z = rng.normal(size=(10, 3))
-        batch = centralize(z, "per-cluster-soft", head=head)
+        pops, weights, offset = centralize(z, "per-cluster-soft", head=head)
         sigma = np.sqrt(head.variances()[0])
         expected = (z - head.centers.value[0]) / sigma
-        np.testing.assert_allclose(batch.populations.data[:, 0, :], expected, atol=1e-12)
-        np.testing.assert_allclose(batch.weights.data, 1.0, atol=1e-12)
+        np.testing.assert_allclose(pops.data[:, 0, :], expected, atol=1e-12)
+        np.testing.assert_allclose(weights.data, 1.0, atol=1e-12)
+        assert offset is None
 
     def test_samples_at_separated_centers_have_zero_first_moment(self):
         # With well-separated clusters, responsibilities are effectively
@@ -462,9 +499,9 @@ class TestCentralize:
         head = init_head("kmeans", 3, 2, seed=2)
         head.centers.value *= 50.0
         z = head.centers.value.copy()
-        batch = centralize(z, "per-cluster-soft", head=head)
-        r = batch.weights.data
-        pops = batch.populations.data
+        pops, r, _ = centralize(z, "per-cluster-soft", head=head)
+        r, pops = r.data, pops.data
+        assert pops.shape == (3, 3, 2) and r.shape == (3, 3)
         for c in range(3):
             m1 = (r[:, c, None] * pops[:, c, :]).sum(axis=0) / r[:, c].sum()
             np.testing.assert_allclose(m1, 0.0, atol=1e-9)

@@ -118,7 +118,7 @@ class TestSupervisedReduction:
             mirror.optimizer.zero_grad()
             tape = Tape()
             z = mirror.backbone.embed(Tensor(x), tape)
-            lc = log_conditional(mirror.head, z, tape)
+            lc = log_conditional(mirror.head, z)
             onehot = np.eye(mirror.head.n_classes)[y]
             loss = -(tsum(lc * Tensor(onehot), axis=1)).mean()
             backward(loss)
@@ -187,12 +187,12 @@ class TestMaskingSemantics:
         tape = Tape()
         zw = state.backbone.embed(xw.use(tape), tape)
         zs = state.backbone.embed(xs.use(tape), tape)
-        scores = state.head.class_log_scores(zw, tape)
+        scores = state.head.class_log_scores(zw)
         probs = np.exp(scores.data - scores.data.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         labels = np.argmax(probs, axis=1)
         onehot = np.eye(state.head.n_classes)[labels]
-        lcs = log_conditional(state.head, zs, tape)
+        lcs = log_conditional(state.head, zs)
         nll = -(tsum(lcs * Tensor(onehot), axis=1))
         loss_unsup = tsum(nll * Tensor(kept.astype(float))) / m
         mom_total, _ = mom_loss(zw, config.moments, head=state.head, sample_mask=kept)
@@ -327,7 +327,7 @@ class TestFusedNll:
                            (log_cond, lambda g: 1.01 * (-g)[:, None] * onehot))
 
         monkeypatch.setattr(gradcheck, "_nll", scaled_nll)
-        rows = gradcheck.run_suite(quick=True)
+        rows = gradcheck.run_suite()
         failed = [r.name for r in rows if not r.passed]
         assert failed == [r.name for r in rows if "-ce " in r.name] and len(failed) == 5
 
