@@ -7,7 +7,8 @@ sweep's grid values replace the file's, and their errors name the
 ``--grid`` key instead. Absent keys take their defaults, and the fully
 resolved configuration is echoed into the run manifest, whose flat form is
 hashed to name output directories. A config file is UTF-8 whatever the
-locale; one that is not names its first bad byte's offset.
+locale, a leading byte-order mark ignored; one that is not UTF-8 names
+its first bad byte's offset.
 """
 
 from __future__ import annotations
@@ -123,22 +124,34 @@ def _lookup(roots: dict, path: str):
 _KEY_OF_PATH = {k.path: key for key, k in SCHEMA.items()}
 
 
-def _rebuild(default, fields: dict, path: str):
+def _rebuild(default, fields: dict, path: str, where: Callable[[str], str]):
     """``default`` (the field at ``path``) with ``fields`` replaced; a nested
     dict rebuilds that field's dataclass.
 
     A constraint message that starts with a field name is raised as a
-    ``ConfigError`` that starts with that field's key instead.
+    ``ConfigError`` at ``where(key)`` that starts with that field's key.
     """
     changes = {
-        name: _rebuild(getattr(default, name), v, f"{path}.{name}") if isinstance(v, dict) else v
+        name: _rebuild(getattr(default, name), v, f"{path}.{name}", where)
+        if isinstance(v, dict) else v
         for name, v in fields.items()
     }
     try:
         return replace(default, **changes)
     except ValueError as e:
         name, sep, rest = str(e).partition(" ")
-        raise ConfigError(_KEY_OF_PATH.get(f"{path}.{name}", name) + sep + rest) from None
+        key = _KEY_OF_PATH.get(f"{path}.{name}", name)
+        raise ConfigError(f"{where(key)}: {key}{sep}{rest}") from None
+
+
+def _parse_value(where: str, key: str, value_text: str):
+    """``key``'s value parsed from ``value_text``; an error names ``where``."""
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return SCHEMA[key].parse(value_text)
+    except ValueError as e:
+        raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>", overrides=()):
@@ -158,27 +171,15 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()):
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value_text = line.partition("=")
         key = key.strip()
-        value_text = value_text.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        # seen_lines holds known keys only, so an unknown key is still reported as unknown.
         if key in seen_lines:
             raise ConfigError(
                 f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen_lines[key]})"
             )
+        values[key] = _parse_value(f"{source}:{lineno}", key, value_text.strip())
         seen_lines[key] = lineno
-        try:
-            values[key] = SCHEMA[key].parse(value_text)
-        except ValueError as e:
-            raise ConfigError(
-                f"{source}:{lineno}: bad value for {key}: {e}"
-            ) from None
     for key, value_text in overrides:
-        if key not in SCHEMA:
-            raise ConfigError(f"--grid {key}: unknown key {key!r}")
-        try:
-            values[key] = SCHEMA[key].parse(value_text)
-        except ValueError as e:
-            raise ConfigError(f"--grid {key}: bad value for {key}: {e}") from None
+        values[key] = _parse_value(f"--grid {key}", key, value_text)
 
     # Group the set values by field path. Walking the table (not the text)
     # fixes the order the dataclasses are validated in, and so which error
@@ -191,13 +192,13 @@ def parse_config_text(text: str, source: str = "<config>", overrides=()):
             for name in parents:
                 node = node.setdefault(name, {})
             node[leaf] = values[key]
-    try:
-        run_config = _rebuild(RunConfig(), fields["run"], "run")
-        data_spec = _rebuild(SyntheticSpec(), fields["data"], "data")
-    except ConfigError as e:
-        key = str(e).split(" ", 1)[0]
-        where = f"--grid {key}" if key in dict(overrides) else source
-        raise ConfigError(f"{where}: {e}") from None
+    grid = dict(overrides)
+
+    def where(key: str) -> str:
+        return f"--grid {key}" if key in grid else source
+
+    run_config = _rebuild(RunConfig(), fields["run"], "run", where)
+    data_spec = _rebuild(SyntheticSpec(), fields["data"], "data", where)
     return run_config, data_spec, flatten_config(run_config, data_spec)
 
 
@@ -208,7 +209,9 @@ def parse_config(path, overrides=()):
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8: byte 0x{e.object[e.start]:02x} "
                           f"at offset {e.start}") from None
-    return parse_config_text(text, str(path), overrides)
+    # A leading byte-order mark is dropped after decoding, not by the
+    # utf-8-sig codec, whose offsets would count from after the mark.
+    return parse_config_text(text.removeprefix("\ufeff"), str(path), overrides)
 
 
 def flatten_config(config: RunConfig, data_spec: SyntheticSpec) -> dict[str, str]:

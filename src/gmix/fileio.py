@@ -24,7 +24,10 @@ def atomic_write(path, mode: str = "w"):
     try:
         with f:
             yield f
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:  # likewise, e.g. when path is a directory
+            raise type(e)(e.errno, e.strerror, str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -16,10 +16,10 @@ taking each head parameter's leaf on ``z.tape``. A taped z gives the head
 its gradient from every loss that scores it; an untaped z records nothing.
 
 KMeans is the AAGMM head with its log variances pinned at an untaped
-constant 0: exp(-0.0) = 1.0, x * 1.0 = x and x - 0.0 = x, so its values
-are the unit-variance formula's bit for bit. A KMeans training step
-records 37 tape entries (35 in global moment mode) against AAGMM's 40
-(36): it has no log-variance leaf, and forms exp(-0.5 * lv) untaped.
+constant 0 and ``class_log_scores`` aliased to AAGMM's: exp(-0.0) = 1.0,
+x * 1.0 = x and x - 0.0 = x, so its values are the unit-variance formula's
+bit for bit. A KMeans step records 37 tape entries (35 in global moment
+mode) against AAGMM's 40 (36): no log-variance leaf, exp(-0.5 * lv) untaped.
 Both mixture heads evaluate their per-class log joint density through
 one primitive, :func:`_mixture_log_joint`: one tape record with a
 hand-derived reverse pass. Taped training, untaped scoring and
@@ -100,13 +100,13 @@ class Backbone:
     def embed(self, x, tape: Tape | None = None) -> Tensor:
         """The latent embedding of each row of ``x``, shape (n, latent_dim).
 
-        A taped call runs the layers once over all rows, one checked record
-        per layer. An untaped one runs the whole layer stack one row block at
-        a time, sized for the widest layer, and writes each block into one
-        output, so no full-size intermediate leaves the cache. At the
-        default widths each row's value does not depend on the blocking; at
-        a layer width of 1-4 past a multiple of 8, OpenBLAS's small-matrix
-        kernel can round a block's rows otherwise.
+        A taped ``x`` records on its own tape; ``tape`` starts taping raw
+        data. A taped call runs the layers once over all rows, one checked
+        record per layer. Every untaped call runs the whole layer stack one
+        row block at a time, sized for the widest layer, into one output, so
+        no full-size intermediate leaves the cache. At the default widths a
+        row's value does not depend on the blocking; at a layer width 1-4 past
+        a multiple of 8, OpenBLAS's small-matrix kernel can round otherwise.
 
         The untaped blocks skip the layers' finiteness checks and check each
         block's output once. That is exact: a non-finite entry in a row of
@@ -117,6 +117,7 @@ class Backbone:
         raise the error naming ``matmul`` or ``add``.
         """
         h = x if isinstance(x, Tensor) else Tensor(x)
+        tape = h.tape if tape is None else tape
         last = len(self.weights) - 1
         layers = [(w.use(tape), b.use(tape), LEAKY_SLOPE if i < last else None)
                   for i, (w, b) in enumerate(zip(self.weights, self.biases))]
@@ -126,24 +127,21 @@ class Backbone:
                 z = _dense_layer(z, w, b, slope, check)
             return z
 
-        blocks = []
-        if tape is None and h.tape is None and h.ndim == 2:
-            blocks = row_blocks(h.shape[0], max(w.shape[1] for w in self.weights))
-            if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] == 1:
-                # numpy multiplies a lone row by BLAS's matrix-vector routine,
-                # which rounds differently from the matrix product; keep it in
-                # the block before.
-                blocks[-2:] = [(blocks[-2][0], blocks[-1][1])]
-        if len(blocks) < 2:
+        if tape is not None or h.ndim != 2:  # the latter raises, naming matmul
             return run(h)
-        out = None
+        # No rows is one empty block, so a wrong input width still raises.
+        blocks = row_blocks(h.shape[0], max(w.shape[1] for w in self.weights)) or [(0, 0)]
+        if len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] == 1:
+            # numpy multiplies a lone row by BLAS's matrix-vector routine,
+            # which rounds differently from the matrix product; keep it in
+            # the block before.
+            blocks[-2:] = [(blocks[-2][0], blocks[-1][1])]
+        out = np.empty((h.shape[0], self.weights[-1].shape[1]))
         for lo, hi in blocks:
             with np.errstate(all="ignore"):  # a failing block warns in its checked run
                 z = run(Tensor(h.data[lo:hi]), check=False)
             if not _all_finite(z.data):
                 z = run(Tensor(h.data[lo:hi]))  # raises, naming the op
-            if out is None:
-                out = np.empty((h.shape[0], z.shape[1]))
             out[lo:hi] = z.data
         return Tensor(out)
 
@@ -230,8 +228,8 @@ class KmeansHead(AagmmHead):
     def log_variances(self, tape: Tape | None = None) -> Tensor:
         return self._log_var
 
-    def class_log_scores(self, z: Tensor) -> Tensor:
-        return _mixture_log_joint(z, self.centers.use(z.tape), self.log_variances(z.tape))
+    # Named here, not only inherited, so the benchmark tracer finds it in vars(KmeansHead).
+    class_log_scores = AagmmHead.class_log_scores
 
 
 class LinearSoftmaxHead:

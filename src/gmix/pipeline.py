@@ -244,7 +244,7 @@ def curriculum_thresholds(counts: np.ndarray, conf_threshold: float) -> np.ndarr
     return np.maximum(min(0.5, conf_threshold), conf_threshold * counts / counts.max())
 
 
-def _nll(log_cond: Tensor, labels: np.ndarray, n_classes: int) -> Tensor:
+def _nll(log_cond: Tensor, labels: np.ndarray) -> Tensor:
     """Per-row negative log-likelihood of ``labels``, one tape record.
 
     The forward is the chain ``-(log_cond * onehot).sum(axis=1)``. A
@@ -253,7 +253,7 @@ def _nll(log_cond: Tensor, labels: np.ndarray, n_classes: int) -> Tensor:
     reverse pass gives ``log_cond`` the chain's gradient, ``(-g)[:, None]
     * onehot``.
     """
-    onehot = np.eye(n_classes)[labels]
+    onehot = np.eye(log_cond.shape[1])[labels]
     with np.errstate(all="ignore"):
         prod = log_cond.data * onehot
     summed = prod.sum(axis=1)
@@ -263,14 +263,13 @@ def _nll(log_cond: Tensor, labels: np.ndarray, n_classes: int) -> Tensor:
 
 def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
                unlabeled: UnlabeledBatch | None, config: RunConfig) -> StepStats:
-    n_classes = state.head.n_classes
     state.optimizer.zero_grad()
     tape = Tape()
     stats = StepStats()
 
     xl, yl = labeled
     zl = state.backbone.embed(Tensor(xl), tape)
-    loss_sup = _nll(log_conditional(state.head, zl), yl, n_classes).mean()
+    loss_sup = _nll(log_conditional(state.head, zl), yl).mean()
     stats.loss_sup = loss_sup.item()
     loss_total = loss_sup
 
@@ -288,7 +287,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
         if config.curriculum:
             thresholds = curriculum_thresholds(state.class_counts(), config.conf_threshold)
         else:
-            thresholds = np.full(n_classes, config.conf_threshold)
+            thresholds = np.full(state.head.n_classes, config.conf_threshold)
         labels_u, confident = pseudo_label(probs, thresholds)
         kept = confident & keep_gate
         stats.pseudo_rate, stats.pseudo_acc = pseudo_quality(kept, labels_u, unlabeled.true_labels)
@@ -296,7 +295,7 @@ def train_step(state: TrainState, labeled: tuple[np.ndarray, np.ndarray],
         zs = None
         if config.lambda_u > 0:
             zs = state.backbone.embed(Tensor(unlabeled.strong), tape)
-            nll_u = _nll(log_conditional(state.head, zs), labels_u, n_classes)
+            nll_u = _nll(log_conditional(state.head, zs), labels_u)
             loss_unsup = tsum(nll_u * Tensor(kept.astype(np.float64))) / m
             stats.loss_unsup = loss_unsup.item()
             loss_total = loss_total + config.lambda_u * loss_unsup

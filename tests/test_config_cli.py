@@ -17,7 +17,9 @@ import gmix
 from gmix import cli, moments, outlier
 from gmix.autodiff import Tensor
 from gmix.cli import main
-from gmix.config import SCHEMA, ConfigError, _lookup, config_hash, parse_config_text
+from gmix.config import (
+    SCHEMA, ConfigError, _lookup, config_hash, parse_config, parse_config_text,
+)
 from gmix.datasets import SyntheticSpec, generate
 from gmix.pipeline import RunConfig
 
@@ -130,6 +132,18 @@ class TestParsing:
     def test_non_finite_float_rejected_with_line_number(self, key, value):
         with pytest.raises(ConfigError, match=f":2: bad value for {key}: expected a finite"):
             parse_config_text(f"run.seed = 1\n{key} = {value}\n")
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfrun.steps = 2\n")
+        assert parse_config(path)[0].steps == 2
+
+    def test_bad_byte_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}: not UTF-8: byte 0xff at offset 5"
 
     def test_two_moons_class_count_checked(self):
         with pytest.raises(ConfigError, match="two-moons"):

@@ -12,6 +12,7 @@ import pytest
 from gmix import cli, metrics, pipeline
 from gmix.checkpoint import save_checkpoint
 from gmix.config import parse_config_text
+from gmix.fileio import atomic_write
 from gmix.metrics import CSV_COLUMNS, EvalResult, MetricsReport, StepStats
 
 
@@ -125,14 +126,32 @@ class TestExportEmbeddings:
         assert tsv.read_bytes() == before
         assert listing(tmp_path) == ["emb.tsv", "run", "run.cfg"]
 
-    def test_unwritable_out_names_the_requested_path(self, tmp_path, capsys):
+    # The open of the temporary file fails in a missing directory; the
+    # final rename fails onto a directory.
+    @pytest.mark.parametrize("name, code", [("missing/x.tsv", errno.ENOENT),
+                                            ("adir", errno.EISDIR)])
+    def test_unwritable_out_names_the_requested_path(self, tmp_path, capsys, name, code):
         config_path = tmp_path / "run.cfg"
         config_path.write_text("run.steps = 2\nrun.eval_every = 1\n")
         config, spec, _ = parse_config_text(config_path.read_text())
         pipeline.run(config, spec, out_dir=tmp_path / "run")
-        out = tmp_path / "missing" / "x.tsv"
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / name
         assert cli.main(["export-embeddings", str(config_path), "--checkpoint",
                          str(tmp_path / "run" / "checkpoint.bin"), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'\n"
+            f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
         )
+        assert listing(tmp_path) == ["adir", "run", "run.cfg"]
+        assert listing(tmp_path / "adir") == []
+
+
+class TestAtomicWrite:
+    def test_failed_rename_names_the_path_and_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with atomic_write(target) as f:
+                f.write("x")
+        assert str(target) in str(info.value) and ".tmp" not in str(info.value)
+        assert listing(tmp_path) == ["adir"]

@@ -217,6 +217,9 @@ class TestHeadIdentities:
         for x, y in zip(taped(a), taped(k)):
             assert bits(x) == bits(y)
 
+    def test_kmeans_scores_through_the_aagmm_method(self):
+        assert KmeansHead.class_log_scores is AagmmHead.class_log_scores
+
 
 class TestForward:
     """The forward pass as the pipeline runs it: Backbone.embed, then the head."""
@@ -493,6 +496,28 @@ class TestFusedDense:
         for a, c in zip(*results):
             assert bits(a) == bits(c)
 
+    def test_taped_input_records_on_its_own_tape(self, rng):
+        # With no ``tape=``, a taped input's layers take their parameter
+        # leaves on its tape, so every backbone weight and bias trains.
+        backbone = Backbone(6, 3, seed=0)
+        x = Parameter(rng.normal(size=(5, 6)))
+        g = Tensor(rng.normal(size=(5, 3)))
+        grads = []
+        for embed in (lambda h, tape: backbone.embed(h), backbone.embed):
+            for p in backbone.parameters():
+                p.zero_grad()
+            tape = Tape()
+            backward(tsum(embed(x.use(tape), tape) * g))
+            grads.append([p.grad.copy() for p in backbone.parameters()])
+        for p, a, b in zip(backbone.parameters(), *grads):
+            assert np.any(a != 0.0), p.name
+            assert bits(a) == bits(b)
+
+    def test_taped_input_on_another_tape_raises(self, rng):
+        x = Parameter(rng.normal(size=(5, 6)))
+        with pytest.raises(ValueError, match="operands are recorded on different tapes"):
+            Backbone(6, 3, seed=0).embed(x.use(Tape()), Tape())
+
     def test_three_records_per_layer(self):
         # Two parameter leaves and the primitive, for each of the 3 layers.
         tape = Tape()
@@ -519,9 +544,15 @@ class TestFusedDense:
             _dense_layer(Tensor(np.full((1, 1), 1e308)), Tensor(np.ones((1, 2))),
                          Tensor(np.full(2, 1e308)), None)
 
-    def test_wrong_width_raises(self):
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_wrong_width_raises(self, rows):
         with pytest.raises(ValueError, match="inner dimensions"):
-            Backbone(16, 8, seed=0).embed(np.zeros((2, 15)))
+            Backbone(16, 8, seed=0).embed(np.zeros((rows, 15)))
+
+    @pytest.mark.parametrize("shape", [(), (16,), (2, 3, 16)])
+    def test_input_that_is_not_2d_raises(self, shape):
+        with pytest.raises(ValueError, match="2-D operands"):
+            Backbone(16, 8, seed=0).embed(np.zeros(shape))
 
 
 def chain_log_conditional(head, z):
@@ -634,7 +665,7 @@ class TestBlockedEmbed:
 
     ROWS = BLOCK_ENTRIES // 64  # rows per block at the widest layer
 
-    @pytest.mark.parametrize("n", [3 * ROWS + 37, 2 * ROWS + 1, ROWS])
+    @pytest.mark.parametrize("n", [3 * ROWS + 37, 2 * ROWS + 1, ROWS, 31, 1])
     def test_blocked_embed_equals_the_chain_bitwise(self, n, rng):
         backbone = Backbone(16, 8, seed=4)
         x = rng.normal(size=(n, 16))
@@ -725,9 +756,10 @@ class TestBlockedEmbed:
             with pytest.raises(NonFiniteError, match="matmul produced"):
                 embed(x)
 
-    def test_finite_blocks_take_no_checked_run(self, monkeypatch, rng):
+    @pytest.mark.parametrize("n", [3 * ROWS, 32])
+    def test_finite_blocks_take_no_checked_run(self, monkeypatch, n, rng):
         backbone = Backbone(16, 8, seed=0)
-        x = rng.normal(size=(3 * self.ROWS, 16))
+        x = rng.normal(size=(n, 16))
         checked = []
         monkeypatch.setattr(heads, "_check_finite",
                             lambda data, op: checked.append(op))
